@@ -22,15 +22,16 @@ logarithm of the twisted series is exactly quadratic in the twist, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import prod
 from typing import Mapping
 
 from .localization import SurfaceModel, hilbert_genus
 from .partitions import Partition
-from .polyring import Q, ZSeries, zseries_euler_sq, zseries_log
+from .polyring import Q, SPoly, ZSeries, zseries_euler_sq, zseries_log
 from .symfun import (
     ChernTable,
     chern_from_power_integrals,
+    genus_log_coefficients,
     power_integrals_from_genus_poly,
 )
 
@@ -56,16 +57,35 @@ def hilbert_genus_series(
     )
 
 
-@lru_cache(maxsize=None)
+# longest Kummer series assembled so far, per model
+_assembled: dict[SurfaceModel, ZSeries] = {}
+
+
 def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
     """Universal genus of the Kummer family through z^n_max.
 
     The z^n coefficient is homogeneous of weight 2(n-1) (the member has
     complex dimension 2(n-1)), so all arithmetic is capped at weight
     2(n_max - 1).
+
+    The longest series assembled for each model is kept.  A request with
+    n_max at most its order is served by slicing it and lowering the cap to
+    2(n_max - 1): every kept coefficient is homogeneous of a weight within
+    that cap, so the slice equals the series assembled directly, and the
+    higher cap only ran more of the vanishing and homogeneity checks.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    longest = _assembled.get(model)
+    if longest is None or longest.order < n_max:
+        longest = _assembled[model] = _assemble_kummer_series(model, n_max)
+    if longest.order == n_max:
+        return longest
+    cap = 2 * (n_max - 1)
+    return ZSeries([SPoly(cap, c.terms) for c in longest.coeffs[: n_max + 1]])
+
+
+def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
     weight_cap = 2 * (n_max - 1)
     log_combined = (
         zseries_log(hilbert_genus_series(model, n_max, 1, weight_cap))
@@ -135,17 +155,46 @@ def _validate_kummer_table(n: int, table: ChernTable) -> KummerResult:
     )
 
 
+def _sigma1(n: int) -> int:
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _check_euler_number(n: int, table: ChernTable) -> None:
+    """The top Chern number of the n-th member is n^3 * sigma_1(n), for every n."""
+    expected = n**3 * _sigma1(n)
+    if table.top() != expected:
+        raise TableValidationError(
+            f"n={n}: top Chern number {table.top()}, expected n^3 sigma_1(n) "
+            f"= {expected}"
+        )
+
+
+def _check_todd_genus(n: int, genus: SPoly) -> None:
+    """The Todd genus of the n-th member is n, for every n.
+
+    Evaluated on the z^n series coefficient by substituting the Todd log
+    coefficients l_j for s_j, independently of the Chern conversion.
+    """
+    ell = genus_log_coefficients("todd", 2 * (n - 1))
+    todd = sum(
+        (c * prod(ell[j - 1] for j in mono) for mono, c in genus.terms.items()),
+        Q(0),
+    )
+    if todd != n:
+        raise TableValidationError(f"n={n}: Todd genus {todd}, expected {n}")
+
+
 def kummer_chern_numbers(model: SurfaceModel, n: int) -> KummerResult:
     """Chern numbers of the n-th Kummer-family member, fully validated."""
     if n < 1:
         raise ValueError("need n >= 1")
     genus = kummer_genus_series(model, n)[n]
+    _check_todd_genus(n, genus)
     d = 2 * (n - 1)
     table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
+    _check_euler_number(n, table)
     if n == 1:
-        # a single point: no validation beyond the value itself
-        if table[()] != 1:
-            raise TableValidationError(f"point genus is {table[()]}, expected 1")
+        # a single point: its one value is the Euler number checked above
         return KummerResult(1, 0, table)
     return _validate_kummer_table(n, table)
 

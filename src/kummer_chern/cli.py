@@ -113,7 +113,10 @@ def _emit(args, text: str) -> None:
 
 
 def _kummer_results(model: SurfaceModel, n_max: int) -> list[KummerResult]:
-    kummer_genus_series(model, n_max)  # one pass fills the cache for every n
+    # Assemble through n_max first: every smaller n is then sliced from this
+    # series without localizing again, since its z^n coefficient has weight
+    # 2(n-1).  Asking for n = 2, 3, ... first would re-localize at each cap.
+    kummer_genus_series(model, n_max)
     ns = [1] if n_max == 1 else range(2, n_max + 1)
     return [kummer_chern_numbers(model, n) for n in ns]
 

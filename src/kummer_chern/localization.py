@@ -28,11 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Mapping
 
-from .partitions import Partition, cell_hooks, multipartitions
-from .polyring import Q, Monomial, SPoly, UPoly, monomial_insert, upoly_exp
+from .partitions import (
+    Partition,
+    cell_hooks,
+    enumerate_partitions,
+    multipartitions,
+    sym_factor,
+)
+from .polyring import Q, SPoly
 
 
 class GenericityError(Exception):
@@ -192,51 +199,6 @@ def tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
     return TangentData(tuple(ws), euler, tuple(sums))
 
 
-def fixed_point_contribution(
-    model: SurfaceModel, point: FixedPoint, t: int, weight_cap: int
-) -> UPoly:
-    """The localized genus class of one fixed point, over its Euler class.
-
-    Returns exp(sum_j (s_j + t*[j==1]) q_j u^j) / euler_product, truncated
-    at u-degree 2k and the weight cap.
-    """
-    data = tangent_data(model, point)
-    two_k = len(data.weights)
-    E = [SPoly.zero(weight_cap)]
-    for j in range(1, two_k + 1):
-        coeff = SPoly.variable(j, weight_cap)
-        if j == 1 and t:
-            coeff = coeff + t
-        E.append(coeff.scale(data.power_sums[j - 1]))
-    return upoly_exp(UPoly(E)).scale(Q(1, data.euler_product))
-
-
-def _exp_pieces(power_sums, weight_cap: int, dmax: int) -> list[dict]:
-    """Homogeneous pieces P_d of exp(sum_j s_j q_j u^j) for d = 0..dmax.
-
-    P_d is homogeneous of weight d, so pieces beyond the weight cap are
-    empty.  Uses the derivative recurrence d*P_d = sum_j j q_j s_j P_{d-j},
-    where each step multiplies by the single monomial s_j.
-    """
-    pieces: list[dict] = [{(): Q(1)}]
-    top = min(dmax, weight_cap)
-    for d in range(1, top + 1):
-        acc: dict[Monomial, object] = {}
-        for j in range(1, d + 1):
-            qj = power_sums[j - 1]
-            if not qj:
-                continue
-            factor = Q(j * qj, d)
-            for mono, c in pieces[d - j].items():
-                key = monomial_insert(mono, j)
-                term = c * factor
-                old = acc.get(key)
-                acc[key] = term if old is None else old + term
-        pieces.append({m: c for m, c in acc.items() if c})
-    pieces.extend({} for _ in range(top + 1, dmax + 1))
-    return pieces
-
-
 @dataclass(frozen=True)
 class LocalizedSums:
     """Fixed-point sums for the Hilbert scheme of k points.
@@ -245,7 +207,8 @@ class LocalizedSums:
 
         q_1^m / (m! * euler_product) * P_d
 
-    for d + m <= 2k and d <= weight cap.  The genus twisted by t is
+    for d + m <= 2k and d <= weight cap, where P_d is the weight-d part of
+    exp(sum_j s_j q_j).  The genus twisted by t is
     recovered at u-degree D as sum_m t^m table[(D - m, m)]; entries with
     d + m < 2k vanish identically (checked at construction time).
     """
@@ -270,40 +233,53 @@ class LocalizedSums:
 def localized_sums(model: SurfaceModel, k: int, weight_cap: int) -> LocalizedSums:
     """Accumulate all fixed-point data of the Hilbert scheme of k points.
 
-    Each fixed point is visited once; its exponential pieces are shared by
-    every twist t.  Division by the Euler product happens per point, so
-    the summation order cannot affect the exact result.
+    The coefficient of s_lam in exp(sum_j s_j q_j) is q_lam / sym_factor(lam),
+    so entry (d, m) is sum_lam s_lam * N(lam + 1^m) / (D * m! * sym_factor(lam))
+    over partitions lam of d, with D = lcm of the Euler products and the
+    integer numerators
+
+        N(mu) = sum over fixed points of (D / euler_product) * q_mu .
+
+    q_lam * q_1^m only depends on the merged partition lam + 1^m, so each
+    point adds one integer per partition mu that some entry reads; every
+    (d, m) entry is then built by one exact division.
     """
     two_k = 2 * k
     dmax = min(two_k, weight_cap)
-    acc: dict[tuple[int, int], dict] = {
-        (d, m): {} for d in range(dmax + 1) for m in range(two_k - d + 1)
-    }
-    for point in fixed_points(model, k):
-        data = tangent_data(model, point)
-        pieces = _exp_pieces(data.power_sums, weight_cap, two_k)
-        q1 = data.power_sums[0] if two_k else 0
-        q1m = 1
-        for m in range(two_k + 1):
-            if q1m:
-                scal = Q(q1m, factorial(m) * data.euler_product)
-                for d in range(min(two_k - m, dmax) + 1):
-                    bucket = acc[(d, m)]
-                    for mono, c in pieces[d].items():
-                        term = c * scal
-                        old = bucket.get(mono)
-                        if old is None:
-                            bucket[mono] = term
-                        else:
-                            bucket[mono] = old + term
-            q1m *= q1
-    table = {key: SPoly(weight_cap, terms) for key, terms in acc.items()}
-    for (d, m), poly in table.items():
-        if d + m < two_k and not poly.is_zero():
-            raise VanishingCheckError(
-                f"below-top localization sum (degree {d}, twist power {m}) "
-                f"for k={k} on {model.name}{model.weights} is {poly}"
-            )
+    # mu = lam + 1^m with |lam| <= dmax; descending order makes mu[1:] a
+    # partition that comes earlier in the list
+    mus = [
+        mu
+        for size in range(two_k + 1)
+        for mu in enumerate_partitions(size)
+        if size - mu.count(1) <= dmax
+    ]
+    index = {mu: i for i, mu in enumerate(mus)}
+    steps = [(mu[0] - 1, index[mu[1:]]) for mu in mus[1:]]
+    points = [tangent_data(model, point) for point in fixed_points(model, k)]
+    D = lcm(*(data.euler_product for data in points))
+    numerators = [0] * len(mus)
+    for data in points:
+        q = data.power_sums
+        values = [D // data.euler_product]
+        for j, parent in steps:
+            values.append(q[j] * values[parent])
+        numerators = list(map(add, numerators, values))
+    table = {}
+    for d in range(dmax + 1):
+        for m in range(two_k - d + 1):
+            den = D * factorial(m)
+            terms = {
+                lam: Q(numerators[index[lam + (1,) * m]], den * sym_factor(lam))
+                for lam in enumerate_partitions(d)
+            }
+            poly = SPoly(weight_cap, terms)
+            if d + m < two_k and not poly.is_zero():
+                raise VanishingCheckError(
+                    f"below-top localization sum (degree {d}, twist power {m}) "
+                    f"for k={k} on {model.name}{model.weights} is {poly}"
+                )
+            table[(d, m)] = poly
     return LocalizedSums(k, weight_cap, table)
 
 

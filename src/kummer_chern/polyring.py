@@ -1,17 +1,13 @@
 """Exact arithmetic kernel: truncated graded polynomials and series.
 
-Three layers, all with exact rational coefficients:
+Two layers, both with exact rational coefficients:
 
 * ``SPoly`` -- a sparse polynomial in formal variables s1, s2, ... where
   s_j carries weight j.  Every SPoly has a weight cap W; terms of weight
   above W are discarded by construction, so products are truncated exactly.
-* ``UPoly`` -- a polynomial in an auxiliary degree variable u with SPoly
-  coefficients, capped at a fixed u-degree.  Used to keep the graded
-  components of a localized class separate.
 * ``ZSeries`` -- a truncated power series in z with SPoly coefficients.
 
-Coefficients use gmpy2.mpq when available (markedly faster on the large
-numerators the localization sums produce) and fall back to the standard
+Coefficients use gmpy2.mpq when available and fall back to the standard
 library's Fraction.  Both are exact; results are identical.
 """
 
@@ -45,14 +41,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
-
-
-def monomial_insert(mono: Monomial, j: int) -> Monomial:
-    """Insert one subscript into a descending tuple."""
-    for i, p in enumerate(mono):
-        if p < j:
-            return mono[:i] + (j,) + mono[i:]
-    return mono + (j,)
 
 
 class SPoly:
@@ -242,102 +230,6 @@ def _weight_buckets(terms: Mapping[Monomial, object]):
     for mono, c in terms.items():
         buckets.setdefault(sum(mono), []).append((mono, c))
     return buckets
-
-
-class UPoly:
-    """Polynomial in the degree variable u with SPoly coefficients.
-
-    coeffs[d] is the u^d coefficient; multiplication truncates above the
-    fixed degree cap len(coeffs) - 1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[SPoly]):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("UPoly needs at least the u^0 coefficient")
-        cap = self.coeffs[0].cap
-        if any(c.cap != cap for c in self.coeffs):
-            raise ValueError("mixed weight caps in UPoly")
-
-    @classmethod
-    def zero(cls, degree_cap: int, weight_cap: int) -> "UPoly":
-        return cls([SPoly.zero(weight_cap)] * (degree_cap + 1))
-
-    @classmethod
-    def one(cls, degree_cap: int, weight_cap: int) -> "UPoly":
-        return cls(
-            [SPoly.one(weight_cap)]
-            + [SPoly.zero(weight_cap)] * degree_cap
-        )
-
-    @property
-    def degree_cap(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def weight_cap(self) -> int:
-        return self.coeffs[0].cap
-
-    def __getitem__(self, d: int) -> SPoly:
-        return self.coeffs[d]
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        if self.degree_cap != other.degree_cap:
-            raise ValueError("degree cap mismatch")
-        return UPoly([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if not isinstance(other, UPoly):
-            return UPoly([c * other for c in self.coeffs])
-        if self.degree_cap != other.degree_cap:
-            raise ValueError("degree cap mismatch")
-        D, W = self.degree_cap, self.weight_cap
-        out = [SPoly.zero(W) for _ in range(D + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > D:
-                    break
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return UPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "UPoly":
-        return UPoly([p.scale(c) for p in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        body = ", ".join(f"u^{d}: {c}" for d, c in enumerate(self.coeffs))
-        return f"UPoly({body})"
-
-
-def upoly_exp(E: UPoly) -> UPoly:
-    """exp of a UPoly with vanishing u^0 part, truncated at both caps.
-
-    Uses the derivative recurrence d*P_d = sum_j j*E_j*P_{d-j}, which is
-    exact on truncated polynomials.
-    """
-    if not E.coeffs[0].is_zero():
-        raise ValueError("exp needs a vanishing constant term")
-    D, W = E.degree_cap, E.weight_cap
-    P = [SPoly.one(W)]
-    for d in range(1, D + 1):
-        acc = SPoly.zero(W)
-        for j in range(1, d + 1):
-            Ej = E.coeffs[j]
-            if Ej.is_zero():
-                continue
-            acc = acc + (Ej * P[d - j]).scale(j)
-        P.append(acc.scale(Q(1, d)))
-    return UPoly(P)
 
 
 class ZSeries:

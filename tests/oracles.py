@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against different definitions than
 the library: partitions by ascending composition, counting through the
-divisor-sum recurrence, tangent weights through explicit module maps, and
-symmetric functions as honest polynomials in a finite set of variables.
+divisor-sum recurrence, tangent weights through explicit module maps,
+symmetric functions as honest polynomials in a finite set of variables, and
+the localized class of each fixed point as a literal truncated exponential.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
+
+from kummer_chern.localization import FixedPoint, SurfaceModel, tangent_data
+from kummer_chern.polyring import Monomial, Q, SPoly
 
 
 # -- partitions --------------------------------------------------------------
@@ -159,6 +164,132 @@ def hom_tangent_weights(lam: tuple[int, ...], v1: int, v2: int) -> list[int]:
     total = sum(lam)
     assert len(weights) == 2 * total, (lam, len(weights))
     return sorted(weights)
+
+
+# -- the localized class of one fixed point, term by term ---------------------
+
+
+def monomial_insert(mono: Monomial, j: int) -> Monomial:
+    """Insert one subscript into a descending tuple."""
+    for i, p in enumerate(mono):
+        if p < j:
+            return mono[:i] + (j,) + mono[i:]
+    return mono + (j,)
+
+
+class UPoly:
+    """Polynomial in the degree variable u with SPoly coefficients.
+
+    coeffs[d] is the u^d coefficient; multiplication truncates above the
+    fixed degree cap len(coeffs) - 1.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[SPoly]):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
+            raise ValueError("UPoly needs at least the u^0 coefficient")
+        cap = self.coeffs[0].cap
+        if any(c.cap != cap for c in self.coeffs):
+            raise ValueError("mixed weight caps in UPoly")
+
+    @classmethod
+    def zero(cls, degree_cap: int, weight_cap: int) -> "UPoly":
+        return cls([SPoly.zero(weight_cap)] * (degree_cap + 1))
+
+    @classmethod
+    def one(cls, degree_cap: int, weight_cap: int) -> "UPoly":
+        return cls(
+            [SPoly.one(weight_cap)]
+            + [SPoly.zero(weight_cap)] * degree_cap
+        )
+
+    @property
+    def degree_cap(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def weight_cap(self) -> int:
+        return self.coeffs[0].cap
+
+    def __getitem__(self, d: int) -> SPoly:
+        return self.coeffs[d]
+
+    def __add__(self, other: "UPoly") -> "UPoly":
+        if self.degree_cap != other.degree_cap:
+            raise ValueError("degree cap mismatch")
+        return UPoly([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        if not isinstance(other, UPoly):
+            return UPoly([c * other for c in self.coeffs])
+        if self.degree_cap != other.degree_cap:
+            raise ValueError("degree cap mismatch")
+        D, W = self.degree_cap, self.weight_cap
+        out = [SPoly.zero(W) for _ in range(D + 1)]
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if i + j > D:
+                    break
+                if b.is_zero():
+                    continue
+                out[i + j] = out[i + j] + a * b
+        return UPoly(out)
+
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "UPoly":
+        return UPoly([p.scale(c) for p in self.coeffs])
+
+    def __eq__(self, other):
+        return isinstance(other, UPoly) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        body = ", ".join(f"u^{d}: {c}" for d, c in enumerate(self.coeffs))
+        return f"UPoly({body})"
+
+
+def upoly_exp(E: UPoly) -> UPoly:
+    """exp of a UPoly with vanishing u^0 part, truncated at both caps.
+
+    Uses the derivative recurrence d*P_d = sum_j j*E_j*P_{d-j}, which is
+    exact on truncated polynomials.
+    """
+    if not E.coeffs[0].is_zero():
+        raise ValueError("exp needs a vanishing constant term")
+    D, W = E.degree_cap, E.weight_cap
+    P = [SPoly.one(W)]
+    for d in range(1, D + 1):
+        acc = SPoly.zero(W)
+        for j in range(1, d + 1):
+            Ej = E.coeffs[j]
+            if Ej.is_zero():
+                continue
+            acc = acc + (Ej * P[d - j]).scale(j)
+        P.append(acc.scale(Q(1, d)))
+    return UPoly(P)
+
+
+def fixed_point_contribution(
+    model: SurfaceModel, point: FixedPoint, t: int, weight_cap: int
+) -> UPoly:
+    """The localized genus class of one fixed point, over its Euler class.
+
+    Returns exp(sum_j (s_j + t*[j==1]) q_j u^j) / euler_product, truncated
+    at u-degree 2k and the weight cap.
+    """
+    data = tangent_data(model, point)
+    two_k = len(data.weights)
+    E = [SPoly.zero(weight_cap)]
+    for j in range(1, two_k + 1):
+        coeff = SPoly.variable(j, weight_cap)
+        if j == 1 and t:
+            coeff = coeff + t
+        E.append(coeff.scale(data.power_sums[j - 1]))
+    return upoly_exp(UPoly(E)).scale(Q(1, data.euler_product))
 
 
 # -- symmetric polynomials in finitely many variables ------------------------

@@ -3,6 +3,9 @@ import pytest
 from kummer_chern.assembly import (
     QuadraticCheckError,
     TableValidationError,
+    _assemble_kummer_series,
+    _check_euler_number,
+    _check_todd_genus,
     _validate_kummer_table,
     hilbert_chern_numbers,
     hilbert_genus_series,
@@ -11,9 +14,11 @@ from kummer_chern.assembly import (
     third_difference_defect,
     universal_series_quadratic_check,
 )
-from kummer_chern.localization import find_generic_model
+from kummer_chern.localization import find_generic_model, localized_sums
 from kummer_chern.polyring import Q, SPoly, ZSeries, zseries_log
 from kummer_chern.symfun import ChernTable
+
+from oracles import sigma1
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +93,35 @@ def test_validation_rejects_bad_tables():
     # beyond the verified range the same findings downgrade to advisories
     result = _validate_kummer_table(9, ChernTable(2, {(2,): Q(25), (1, 1): Q(0)}))
     assert len(result.advisories) == 1
+
+
+def test_closed_form_oracles_reject_corrupted_inputs(p2):
+    genus = kummer_genus_series(p2, 3)[3]
+    table = ChernTable(4, {(4,): Q(108), (2, 2): Q(756)})
+    _check_todd_genus(3, genus)
+    _check_euler_number(3, table)
+    with pytest.raises(TableValidationError, match="Todd genus"):
+        _check_todd_genus(3, genus + SPoly(4, {(4,): 1}))
+    with pytest.raises(TableValidationError, match="sigma_1"):
+        _check_euler_number(3, ChernTable(4, {(4,): Q(109), (2, 2): Q(756)}))
+
+
+def test_closed_forms_hold_beyond_the_reference_table():
+    model = find_generic_model("p2", 9)
+    nine = kummer_chern_numbers(model, 9)
+    assert nine.chern.top() == 9**3 * sigma1(9) == 9477
+    assert nine.advisories == ()
+
+
+def test_smaller_n_is_served_from_the_longest_series():
+    model = find_generic_model("p2", 5, weights=(1, 37))
+    kummer_genus_series(model, 5)
+    misses = localized_sums.cache_info().misses
+    for n in range(1, 6):
+        kummer_chern_numbers(model, n)
+    assert localized_sums.cache_info().misses == misses
+    for n in range(1, 5):
+        assert kummer_genus_series(model, n) == _assemble_kummer_series(model, n)
 
 
 def test_surface_independence_small():

@@ -5,7 +5,6 @@ from kummer_chern.localization import (
     build_surface_model,
     default_weights,
     find_generic_model,
-    fixed_point_contribution,
     fixed_points,
     hilbert_genus,
     is_generic,
@@ -16,7 +15,11 @@ from kummer_chern.localization import (
 from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.polyring import Q, SPoly
 
-from oracles import colored_partition_counts, hom_tangent_weights
+from oracles import (
+    colored_partition_counts,
+    fixed_point_contribution,
+    hom_tangent_weights,
+)
 
 
 def test_p2_model_at_1_2():
@@ -129,10 +132,12 @@ def test_hilbert_genus_of_one_point():
 
 
 def test_fast_accumulator_matches_literal_contributions():
+    # full caps W = 2k, plus the truncated k = 3, W = 4 table that
+    # verify --n-max 3 builds at k = n_max
+    sizes = [(k, 2 * k) for k in range(4)] + [(3, 4)]
     for name in ("p2", "p1xp1"):
         m = find_generic_model(name, 3)
-        for k in range(4):
-            W = 2 * k
+        for k, W in sizes:
             for t in (-1, 0, 1):
                 total = [SPoly.zero(W) for _ in range(2 * k + 1)]
                 for fp in fixed_points(m, k):
