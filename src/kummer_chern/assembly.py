@@ -22,7 +22,6 @@ logarithm of the twisted series is exactly quadratic in the twist, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from typing import Mapping
 
 from .localization import SurfaceModel, hilbert_genus
@@ -32,6 +31,7 @@ from .symfun import (
     ChernTable,
     chern_from_power_integrals,
     genus_log_coefficients,
+    genus_value,
     power_integrals_from_genus_poly,
 )
 
@@ -175,11 +175,7 @@ def _check_todd_genus(n: int, genus: SPoly) -> None:
     Evaluated on the z^n series coefficient by substituting the Todd log
     coefficients l_j for s_j, independently of the Chern conversion.
     """
-    ell = genus_log_coefficients("todd", 2 * (n - 1))
-    todd = sum(
-        (c * prod(ell[j - 1] for j in mono) for mono, c in genus.terms.items()),
-        Q(0),
-    )
+    todd = genus_value(genus.terms, genus_log_coefficients("todd", 2 * (n - 1)))
     if todd != n:
         raise TableValidationError(f"n={n}: Todd genus {todd}, expected {n}")
 
@@ -193,9 +189,6 @@ def kummer_chern_numbers(model: SurfaceModel, n: int) -> KummerResult:
     d = 2 * (n - 1)
     table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
     _check_euler_number(n, table)
-    if n == 1:
-        # a single point: its one value is the Euler number checked above
-        return KummerResult(1, 0, table)
     return _validate_kummer_table(n, table)
 
 

@@ -249,12 +249,6 @@ class ZSeries:
     def from_scalars(cls, values: Iterable[object], weight_cap: int) -> "ZSeries":
         return cls([SPoly.constant(v, weight_cap) for v in values])
 
-    @classmethod
-    def one(cls, order: int, weight_cap: int) -> "ZSeries":
-        return cls(
-            [SPoly.one(weight_cap)] + [SPoly.zero(weight_cap)] * order
-        )
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -277,25 +271,6 @@ class ZSeries:
     def __sub__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
         return ZSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if not isinstance(other, ZSeries):
-            return self.scale(other)
-        self._check(other)
-        N, W = self.order, self.weight_cap
-        out = [SPoly.zero(W) for _ in range(N + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > N:
-                    break
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return ZSeries(out)
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "ZSeries":
         return ZSeries([p.scale(c) for p in self.coeffs])
@@ -324,23 +299,6 @@ def zseries_log(H: ZSeries) -> ZSeries:
             acc = acc - (L[j] * H.coeffs[n - j]).scale(Q(j, n))
         L.append(acc)
     return ZSeries(L)
-
-
-def zseries_exp(S: ZSeries) -> ZSeries:
-    """Formal exponential of a series with vanishing constant coefficient."""
-    if not S.coeffs[0].is_zero():
-        raise ValueError("exp needs a vanishing constant term")
-    N, W = S.order, S.weight_cap
-    E = [SPoly.one(W)]
-    for n in range(1, N + 1):
-        acc = SPoly.zero(W)
-        for j in range(1, n + 1):
-            Sj = S.coeffs[j]
-            if Sj.is_zero():
-                continue
-            acc = acc + (Sj * E[n - j]).scale(j)
-        E.append(acc.scale(Q(1, n)))
-    return ZSeries(E)
 
 
 def zseries_euler_sq(H: ZSeries) -> ZSeries:

@@ -2,14 +2,20 @@
 
 The Chern classes of a manifold are the elementary symmetric functions of
 its Chern roots, while localization most naturally produces power sums of
-the roots.  Newton's identities convert between the two bases:
+the roots.  Both transitions have closed forms (Macdonald, ch. I, 2.14'
+and the Girard-Waring formula):
 
-    e_r = (1/r) * sum_{i=1..r} (-1)^(i-1) e_{r-i} p_i
-    p_r = sum_{i=1..r-1} (-1)^(i-1) e_i p_{r-i} + (-1)^(r-1) r e_r
+    e_r = sum_{lam |- r} (-1)^(r - l(lam)) p_lam / z_lam
+    p_r = sum_{lam |- r} (-1)^(r - l(lam)) r (l(lam) - 1)! / m(lam) * e_lam
+
+where l(lam) is the number of parts, m(lam) = prod_j mult_j(lam)! and
+z_lam = m(lam) * prod_i lam_i.
 
 Products of basis elements are indexed by partitions, and multiplying two
 indexed elements concatenates the index partitions, so a linear combination
-is just a dict mapping partitions to rationals.
+is just a dict mapping partitions to rationals.  The expansion of a product
+e_mu (or p_lam) is its first factor times the cached expansion of the
+product of the remaining parts.
 
 A genus with series f(x) = exp(sum_j l_j x^j) takes the value
 
@@ -22,17 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions, sym_factor
-from .polyring import Q, SPoly
+from .polyring import Q, SPoly, ZSeries, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
 
 
-def combo_mul(a: Combo, b: Combo) -> Combo:
+def combo_mul(a: Mapping, b: Mapping) -> Combo:
     out: Combo = {}
     for la, ca in a.items():
         for lb, cb in b.items():
@@ -45,20 +51,13 @@ def combo_mul(a: Combo, b: Combo) -> Combo:
 
 @lru_cache(maxsize=None)
 def elementary_in_power_basis(r: int) -> Mapping[Partition, object]:
-    """Expansion of e_r in the power-sum basis, via Newton's recursion."""
+    """Expansion of e_r in the power-sum basis: sum (-1)^(r-l) p_lam / z_lam."""
     if r < 0:
         raise ValueError("negative index")
-    if r == 0:
-        return {(): Q(1)}
-    acc: Combo = {}
-    for i in range(1, r + 1):
-        sign = 1 if i % 2 == 1 else -1
-        for lam, c in elementary_in_power_basis(r - i).items():
-            key = tuple(sorted(lam + (i,), reverse=True))
-            term = c * Q(sign, r)
-            old = acc.get(key)
-            acc[key] = term if old is None else old + term
-    return {k: v for k, v in acc.items() if v}
+    return {
+        lam: Q((-1) ** (r - len(lam)), sym_factor(lam) * prod(lam))
+        for lam in enumerate_partitions(r)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -67,38 +66,37 @@ def elementary_product_in_power_basis(mu: Partition) -> Combo:
 
     Cached; treat the returned dict as immutable.
     """
-    out: Combo = {(): Q(1)}
-    for part in mu:
-        out = combo_mul(out, dict(elementary_in_power_basis(part)))
-    return out
+    if not mu:
+        return {(): Q(1)}
+    return combo_mul(
+        elementary_in_power_basis(mu[0]), elementary_product_in_power_basis(mu[1:])
+    )
 
 
 @lru_cache(maxsize=None)
 def power_in_elementary_basis(r: int) -> Mapping[Partition, object]:
-    """Expansion of p_r in the elementary-symmetric basis."""
+    """Expansion of p_r in the elementary-symmetric basis (Girard-Waring)."""
     if r < 0:
         raise ValueError("negative index")
     if r == 0:
         return {(): Q(1)}
-    sign = 1 if (r - 1) % 2 == 0 else -1
-    acc: Combo = {(r,): Q(sign * r)}
-    for i in range(1, r):
-        s = 1 if (i - 1) % 2 == 0 else -1
-        for lam, c in power_in_elementary_basis(r - i).items():
-            key = tuple(sorted(lam + (i,), reverse=True))
-            term = c * Q(s)
-            old = acc.get(key)
-            acc[key] = term if old is None else old + term
-    return {k: v for k, v in acc.items() if v}
+    return {
+        lam: Q((-1) ** (r - len(lam)) * r * factorial(len(lam) - 1), sym_factor(lam))
+        for lam in enumerate_partitions(r)
+    }
 
 
 @lru_cache(maxsize=None)
 def power_product_in_elementary_basis(lam: Partition) -> Combo:
-    """Cached; treat the returned dict as immutable."""
-    out: Combo = {(): Q(1)}
-    for part in lam:
-        out = combo_mul(out, dict(power_in_elementary_basis(part)))
-    return out
+    """Expansion of p_lam in the elementary-symmetric basis.
+
+    Cached; treat the returned dict as immutable.
+    """
+    if not lam:
+        return {(): Q(1)}
+    return combo_mul(
+        power_in_elementary_basis(lam[0]), power_product_in_elementary_basis(lam[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -170,6 +168,13 @@ def power_integrals_from_genus_poly(g: SPoly, d: int) -> dict[Partition, object]
     }
 
 
+def genus_value(terms: Mapping[Partition, object], ell: Sequence[object]) -> object:
+    """sum_lam c_lam prod_i l_{lam_i}: substitute l_j for s_j in sum c_lam s_lam."""
+    return sum(
+        (c * prod(ell[j - 1] for j in lam) for lam, c in terms.items()), Q(0)
+    )
+
+
 def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
     """Value on ``table`` of the genus with series f(x) = exp(sum l_j x^j).
 
@@ -179,43 +184,16 @@ def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
     if len(ell) < d:
         raise ValueError(f"need {d} log-coefficients, got {len(ell)}")
     P = power_integrals_from_chern(table)
-    total = Q(0)
-    for lam in enumerate_partitions(d):
-        coeff = Q(1, sym_factor(lam))
-        for part in lam:
-            coeff *= ell[part - 1]
-        if coeff:
-            total += coeff * P[lam]
-    return total
+    return genus_value({lam: P[lam] / sym_factor(lam) for lam in P}, ell)
 
 
 # -- genus presets ---------------------------------------------------------
 
 
-def _series_inv(a: list) -> list:
-    # 1/a for a power series with a[0] == 1
-    n = len(a)
-    out = [Q(1)] + [Q(0)] * (n - 1)
-    for k in range(1, n):
-        out[k] = -sum((a[j] * out[k - j] for j in range(1, k + 1)), Q(0))
-    return out
-
-
-def _series_mul(a: list, b: list) -> list:
-    n = min(len(a), len(b))
-    return [sum((a[j] * b[k - j] for j in range(k + 1)), Q(0)) for k in range(n)]
-
-
-def _series_log(a: list) -> list:
-    # log of a power series with a[0] == 1; returns coefficients from x^1 on
-    n = len(a)
-    L = [Q(0)] * n
-    for k in range(1, n):
-        acc = a[k]
-        for j in range(1, k):
-            acc -= Q(j, k) * L[j] * a[k - j]
-        L[k] = acc
-    return L[1:]
+def _log_coefficients(a: list) -> list:
+    # log of the scalar series a (a[0] == 1), coefficients from x^1 on
+    log = zseries_log(ZSeries.from_scalars(a, 0))
+    return [Q(c.coefficient(())) for c in log.coeffs[1:]]
 
 
 @lru_cache(maxsize=None)
@@ -230,17 +208,18 @@ def genus_log_coefficients(name: str, count: int) -> tuple:
     if name == "euler":
         ell = [Q((-1) ** (j + 1), j) for j in range(1, n)]
     elif name == "todd":
-        denom = [Q((-1) ** k, factorial(k + 1)) for k in range(n)]  # (1-e^-x)/x
-        ell = _series_log(_series_inv(denom))
+        # log f = -log((1 - e^-x) / x)
+        denom = [Q((-1) ** k, factorial(k + 1)) for k in range(n)]
+        ell = [-c for c in _log_coefficients(denom)]
     elif name == "signature":
-        sinh_over_x = [
-            Q(1, factorial(k + 1)) if k % 2 == 0 else Q(0) for k in range(n)
-        ]
-        cosh = [Q(1, factorial(k)) if k % 2 == 0 else Q(0) for k in range(n)]
-        ell = _series_log(_series_mul(cosh, _series_inv(sinh_over_x)))
+        # log f = log cosh x - log(sinh x / x)
+        cosh = [Q(1 - k % 2, factorial(k)) for k in range(n)]
+        sinh_over_x = [Q(1 - k % 2, factorial(k + 1)) for k in range(n)]
+        log_cosh, log_sinh_over_x = map(_log_coefficients, (cosh, sinh_over_x))
+        ell = [a - b for a, b in zip(log_cosh, log_sinh_over_x)]
     else:
         raise ValueError(f"unknown genus preset {name!r}")
-    return tuple(ell[:count])
+    return tuple(ell)
 
 
 GENUS_PRESETS = ("todd", "euler", "signature")

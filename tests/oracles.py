@@ -3,8 +3,9 @@
 Everything here is deliberately written against different definitions than
 the library: partitions by ascending composition, counting through the
 divisor-sum recurrence, tangent weights through explicit module maps,
-symmetric functions as honest polynomials in a finite set of variables, and
-the localized class of each fixed point as a literal truncated exponential.
+symmetric functions as honest polynomials in a finite set of variables,
+the localized class of each fixed point as a literal truncated exponential,
+and the exponential of a scalar series as the sum of its powers.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 from typing import Iterable
 
 from kummer_chern.localization import FixedPoint, SurfaceModel, tangent_data
-from kummer_chern.polyring import Monomial, Q, SPoly
+from kummer_chern.polyring import Monomial, Q, SPoly, ZSeries
 
 
 # -- partitions --------------------------------------------------------------
@@ -290,6 +292,73 @@ def fixed_point_contribution(
             coeff = coeff + t
         E.append(coeff.scale(data.power_sums[j - 1]))
     return upoly_exp(UPoly(E)).scale(Q(1, data.euler_product))
+
+
+# -- z-series arithmetic that only the tests need -----------------------------
+
+
+def zseries_one(order: int, weight_cap: int) -> ZSeries:
+    return ZSeries([SPoly.one(weight_cap)] + [SPoly.zero(weight_cap)] * order)
+
+
+def zseries_mul(A: ZSeries, B: ZSeries) -> ZSeries:
+    """Product of two series of the same order, truncated at that order."""
+    if A.order != B.order:
+        raise ValueError("truncation order mismatch")
+    N, W = A.order, A.weight_cap
+    out = [SPoly.zero(W) for _ in range(N + 1)]
+    for i, a in enumerate(A.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(B.coeffs):
+            if i + j > N:
+                break
+            if b.is_zero():
+                continue
+            out[i + j] = out[i + j] + a * b
+    return ZSeries(out)
+
+
+def zseries_exp(S: ZSeries) -> ZSeries:
+    """Formal exponential of a series with vanishing constant coefficient."""
+    if not S.coeffs[0].is_zero():
+        raise ValueError("exp needs a vanishing constant term")
+    N, W = S.order, S.weight_cap
+    E = [SPoly.one(W)]
+    for n in range(1, N + 1):
+        acc = SPoly.zero(W)
+        for j in range(1, n + 1):
+            Sj = S.coeffs[j]
+            if Sj.is_zero():
+                continue
+            acc = acc + (Sj * E[n - j]).scale(j)
+        E.append(acc.scale(Q(1, n)))
+    return ZSeries(E)
+
+
+# -- scalar power series in x, as Fraction lists ------------------------------
+
+
+def scalar_exp(ell: list[Fraction], order: int) -> list[Fraction]:
+    """Coefficients of exp(sum_j ell[j-1] x^j) through x^order.
+
+    Sums the powers of the exponent, m = 0..order, with 1/m! each.
+    """
+    g = [Fraction(0)] + [Fraction(c) for c in ell[:order]]
+    g += [Fraction(0)] * (order + 1 - len(g))
+    out = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order  # g^m
+    for m in range(order + 1):
+        for k in range(order + 1):
+            out[k] += power[k] / factorial(m)
+        power = scalar_mul(power, g)
+    return out
+
+
+def scalar_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Product of two series truncated at the shorter length."""
+    n = min(len(a), len(b))
+    return [sum((a[j] * b[k - j] for j in range(k + 1)), Fraction(0)) for k in range(n)]
 
 
 # -- symmetric polynomials in finitely many variables ------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,8 @@ from kummer_chern.symfun import (
 from oracles import (
     expand_elementary_product,
     expand_power_product,
+    scalar_exp,
+    scalar_mul,
     surface_product_chern_table,
 )
 
@@ -141,6 +144,28 @@ def test_genus_preset_sanity_constants():
     assert list(euler) == [Q(1), Q(-1, 2), Q(1, 3), Q(-1, 4)]
     sig = genus_log_coefficients("signature", 4)
     assert sig[0] == 0 and sig[1] == Q(1, 3) and sig[2] == 0
+
+
+def test_genus_presets_exponentiate_to_their_series_through_x18():
+    # f(x) = exp(sum l_j x^j), checked as f(x) * den(x) == num(x)
+    order = 18
+    fact = [Fraction(factorial(k)) for k in range(order + 2)]
+    one = [Fraction(1)] + [Fraction(0)] * order
+    # (1 - e^-x) / x, sinh(x) / x and cosh(x), through x^order
+    todd_den = [(-1) ** k / fact[k + 1] for k in range(order + 1)]
+    sinh_over_x = [(k % 2 == 0) / fact[k + 1] for k in range(order + 1)]
+    cosh = [(k % 2 == 0) / fact[k] for k in range(order + 1)]
+    cases = {
+        "todd": (todd_den, one),
+        "euler": (one, [Fraction(1), Fraction(1)] + [Fraction(0)] * (order - 1)),
+        "signature": (sinh_over_x, cosh),
+    }
+    for name, (den, num) in cases.items():
+        ell = genus_log_coefficients(name, order)
+        assert len(ell) == order
+        assert all(type(c) is type(Q(1)) for c in ell), name
+        ell = [Fraction(int(c.numerator), int(c.denominator)) for c in ell]
+        assert scalar_mul(scalar_exp(ell, order), den) == num, name
 
 
 def test_unknown_preset():
