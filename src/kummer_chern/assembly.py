@@ -22,8 +22,9 @@ logarithm of the twisted series is exactly quadratic in the twist, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
+from . import localization
 from .localization import SurfaceModel, hilbert_genus
 from .partitions import Partition
 from .polyring import Q, SPoly, ZSeries, zseries_euler_sq, zseries_log
@@ -49,15 +50,22 @@ class QuadraticCheckError(Exception):
 
 
 def hilbert_genus_series(
-    model: SurfaceModel, n_max: int, t: int, weight_cap: int
-) -> ZSeries:
-    """Series with z^k coefficient the twisted genus of the k-point scheme."""
-    return ZSeries(
-        [hilbert_genus(model, k, t, weight_cap) for k in range(n_max + 1)]
-    )
+    model: SurfaceModel, n_max: int, twists: Sequence[int], weight_cap: int
+) -> list[ZSeries]:
+    """One series per twist t; its z^k coefficient is the t-twisted genus.
+
+    Each k-point localization table is built once, read at every twist and
+    dropped before the next k.
+    """
+    coeffs: list[list[SPoly]] = [[] for _ in twists]
+    for k in range(n_max + 1):
+        sums = localization.localized_sums(model, k, weight_cap)
+        for column, t in zip(coeffs, twists):
+            column.append(sums.genus_at(t, 2 * k))
+    return [ZSeries(column) for column in coeffs]
 
 
-# longest Kummer series assembled so far, per model
+# the one per-model store: the longest Kummer series assembled so far
 _assembled: dict[SurfaceModel, ZSeries] = {}
 
 
@@ -86,12 +94,8 @@ def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
 
 
 def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
-    weight_cap = 2 * (n_max - 1)
-    log_combined = (
-        zseries_log(hilbert_genus_series(model, n_max, 1, weight_cap))
-        + zseries_log(hilbert_genus_series(model, n_max, -1, weight_cap))
-        - zseries_log(hilbert_genus_series(model, n_max, 0, weight_cap)).scale(2)
-    )
+    plus, minus, zero = hilbert_genus_series(model, n_max, (1, -1, 0), 2 * (n_max - 1))
+    log_combined = zseries_log(plus) + zseries_log(minus) - zseries_log(zero).scale(2)
     raw = zseries_euler_sq(log_combined).scale(Q(1, model.c1sq))
     coeffs = [raw[0]]
     for n in range(1, n_max + 1):
@@ -236,11 +240,8 @@ def universal_series_quadratic_check(
     z^n_max.
     """
     twists = (-2, -1, 0, 1, 2)
-    weight_cap = 2 * n_max
-    logs = {
-        m: zseries_log(hilbert_genus_series(model, n_max, m, weight_cap))
-        for m in twists
-    }
+    series = hilbert_genus_series(model, n_max, twists, 2 * n_max)
+    logs = {m: zseries_log(s) for m, s in zip(twists, series)}
     windows = 0
     for m0 in twists[: len(twists) - 3]:
         defect = third_difference_defect(logs, m0)

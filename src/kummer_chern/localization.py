@@ -27,7 +27,6 @@ coefficient integrates, everything below must cancel across fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, lcm
 from operator import add
 from typing import Mapping
@@ -62,6 +61,9 @@ class SurfaceModel:
 
 
 SURFACE_NAMES = ("p2", "p1xp1")
+
+# torus parameters tried by the default schedule before giving up
+MAX_TRIES = 64
 
 
 def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
@@ -113,7 +115,6 @@ def find_generic_model(
     name: str,
     depth: int,
     weights: tuple[int, int] | None = None,
-    max_tries: int = 64,
 ) -> SurfaceModel:
     """Build a model generic up to Hilbert depth ``depth``.
 
@@ -129,7 +130,7 @@ def find_generic_model(
             )
         return model
     a, b = default_weights(depth)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         try:
             model = build_surface_model(name, a, b)
             if is_generic(model, depth):
@@ -140,20 +141,13 @@ def find_generic_model(
     raise GenericityError(f"no generic parameters found for {name} at depth {depth}")
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """A torus-fixed subscheme: one partition per chart."""
-
-    assignment: tuple[Partition, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(lam) for lam in self.assignment)
+# a torus-fixed subscheme: one partition per chart
+FixedPoint = tuple[Partition, ...]
 
 
 def fixed_points(model: SurfaceModel, k: int) -> list[FixedPoint]:
     """All fixed points of the Hilbert scheme of k points, fixed order."""
-    return [FixedPoint(t) for t in multipartitions(k, len(model.charts))]
+    return multipartitions(k, len(model.charts))
 
 
 def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
@@ -185,7 +179,7 @@ class TangentData:
 
 def tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
     ws: list[int] = []
-    for chart, lam in zip(model.charts, point.assignment):
+    for chart, lam in zip(model.charts, point):
         ws.extend(tangent_weights(chart, lam))
     euler = 1
     for w in ws:
@@ -210,7 +204,9 @@ class LocalizedSums:
     for d + m <= 2k and d <= weight cap, where P_d is the weight-d part of
     exp(sum_j s_j q_j).  The genus twisted by t is
     recovered at u-degree D as sum_m t^m table[(D - m, m)]; entries with
-    d + m < 2k vanish identically (checked at construction time).
+    d + m < 2k vanish identically (checked at construction time), and the
+    untwisted value is homogeneous of weight D (checked at every read that
+    the cap covers).
     """
 
     k: int
@@ -226,10 +222,13 @@ class LocalizedSums:
                 if part is not None and not part.is_zero():
                     acc = acc + part.scale(tm)
             tm *= t
+        if t == 0 and degree <= self.weight_cap and not acc.is_homogeneous(degree):
+            raise VanishingCheckError(
+                f"t=0 genus of k={self.k} not homogeneous of weight {degree}: {acc}"
+            )
         return acc
 
 
-@lru_cache(maxsize=None)
 def localized_sums(model: SurfaceModel, k: int, weight_cap: int) -> LocalizedSums:
     """Accumulate all fixed-point data of the Hilbert scheme of k points.
 
@@ -284,16 +283,5 @@ def localized_sums(model: SurfaceModel, k: int, weight_cap: int) -> LocalizedSum
 
 
 def hilbert_genus(model: SurfaceModel, k: int, t: int, weight_cap: int) -> SPoly:
-    """Universal genus of the Hilbert scheme of k points, twisted by t.
-
-    Sums the top-degree fixed-point contributions; the below-top sums are
-    asserted to cancel when the fixed-point data is built.  At t = 0 the
-    value is homogeneous of weight 2k (checked whenever 2k fits the cap).
-    """
-    sums = localized_sums(model, k, weight_cap)
-    genus = sums.genus_at(t, 2 * k)
-    if t == 0 and 2 * k <= weight_cap and not genus.is_homogeneous(2 * k):
-        raise VanishingCheckError(
-            f"t=0 genus of k={k} not homogeneous of weight {2 * k}: {genus}"
-        )
-    return genus
+    """Universal genus of the Hilbert scheme of k points, twisted by t."""
+    return localized_sums(model, k, weight_cap).genus_at(t, 2 * k)

@@ -24,12 +24,6 @@ class CellHook(NamedTuple):
     leg: int
 
 
-def is_partition(parts: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(parts, parts[1:])) and all(
-        p >= 1 for p in parts
-    )
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(k: int) -> tuple[Partition, ...]:
     """All partitions of k, each once, lexicographically decreasing.

@@ -25,22 +25,7 @@ Monomial = tuple[int, ...]  # descending variable subscripts; () is the constant
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     """Merge two descending subscript tuples."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] >= b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    return tuple(sorted(a + b, reverse=True))
 
 
 class SPoly:

@@ -32,7 +32,7 @@ from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions, sym_factor
-from .polyring import Q, SPoly, ZSeries, zseries_log
+from .polyring import Q, SPoly, ZSeries, monomial_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
@@ -42,7 +42,7 @@ def combo_mul(a: Mapping, b: Mapping) -> Combo:
     out: Combo = {}
     for la, ca in a.items():
         for lb, cb in b.items():
-            key = tuple(sorted(la + lb, reverse=True))
+            key = monomial_mul(la, lb)
             c = ca * cb
             old = out.get(key)
             out[key] = c if old is None else old + c

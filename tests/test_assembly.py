@@ -1,6 +1,8 @@
 import pytest
 
+from kummer_chern import localization
 from kummer_chern.assembly import (
+    HomogeneityError,
     QuadraticCheckError,
     TableValidationError,
     _assemble_kummer_series,
@@ -27,19 +29,19 @@ def p2():
 
 
 def test_hilbert_genus_series_order_one(p2):
-    series = hilbert_genus_series(p2, 1, 0, 2)
+    (series,) = hilbert_genus_series(p2, 1, (0,), 2)
     assert series[0].is_one()
     assert series[1] == SPoly(2, {(1, 1): Q(9, 2), (2,): 3})
 
 
 def test_hilbert_genus_series_order_zero(p2):
     for t in (-1, 0, 1):
-        series = hilbert_genus_series(p2, 0, t, 0)
+        (series,) = hilbert_genus_series(p2, 0, (t,), 0)
         assert series.order == 0 and series[0].is_one()
 
 
 def test_hilbert_series_z2_coefficient_is_homogeneous(p2):
-    series = hilbert_genus_series(p2, 2, 0, 4)
+    (series,) = hilbert_genus_series(p2, 2, (0,), 4)
     assert series[2].is_homogeneous(4)
 
 
@@ -113,15 +115,41 @@ def test_closed_forms_hold_beyond_the_reference_table():
     assert nine.advisories == ()
 
 
-def test_smaller_n_is_served_from_the_longest_series():
+def test_smaller_n_is_served_from_the_longest_series(monkeypatch):
     model = find_generic_model("p2", 5, weights=(1, 37))
     kummer_genus_series(model, 5)
-    misses = localized_sums.cache_info().misses
+    calls = []
+
+    def counting_sums(*args):
+        calls.append(args)
+        return localized_sums(*args)
+
+    monkeypatch.setattr(localization, "localized_sums", counting_sums)
     for n in range(1, 6):
         kummer_chern_numbers(model, n)
-    assert localized_sums.cache_info().misses == misses
+    assert calls == []
     for n in range(1, 5):
         assert kummer_genus_series(model, n) == _assemble_kummer_series(model, n)
+
+
+def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):
+    import kummer_chern.assembly as assembly
+
+    original = assembly.zseries_log
+    calls = []
+
+    def corrupting_log(series):
+        out = original(series)
+        calls.append(None)
+        if len(calls) != 1:  # ln H(1) only; a shift shared by all three cancels
+            return out
+        coeffs = list(out.coeffs)
+        coeffs[2] = coeffs[2] + SPoly.constant(1, out.weight_cap)
+        return ZSeries(coeffs)
+
+    monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
+    with pytest.raises(HomogeneityError, match="off-weight"):
+        _assemble_kummer_series(p2, 3)
 
 
 def test_surface_independence_small():
@@ -159,9 +187,8 @@ def test_quadratic_check_passes(p2):
 
 def test_quadratic_check_negative_control(p2):
     W = 4
-    logs = {
-        m: zseries_log(hilbert_genus_series(p2, 2, m, W)) for m in range(-2, 3)
-    }
+    twists = range(-2, 3)
+    logs = dict(zip(twists, map(zseries_log, hilbert_genus_series(p2, 2, twists, W))))
     assert all(
         c.is_zero() for c in third_difference_defect(logs, -2).coeffs
     )

@@ -2,6 +2,7 @@ import pytest
 
 from kummer_chern.localization import (
     GenericityError,
+    VanishingCheckError,
     build_surface_model,
     default_weights,
     find_generic_model,
@@ -160,6 +161,27 @@ def test_vanishing_holds_in_the_shared_table():
     assert any(
         not poly.is_zero() for (d, mm), poly in sums.table.items() if d + mm == 8
     )
+
+
+def test_vanishing_check_fires_on_a_corrupted_point(monkeypatch):
+    import dataclasses
+
+    import kummer_chern.localization as localization
+
+    original = localization.tangent_data
+    calls = []
+
+    def corrupting_data(model, point):
+        data = original(model, point)
+        calls.append(None)
+        if len(calls) != 1:  # the first fixed point only
+            return data
+        return dataclasses.replace(data, euler_product=2 * data.euler_product)
+
+    monkeypatch.setattr(localization, "tangent_data", corrupting_data)
+    m = find_generic_model("p2", 2)
+    with pytest.raises(VanishingCheckError, match="below-top"):
+        localized_sums(m, 2, 4)
 
 
 def test_homogeneity_at_zero_twist():
