@@ -1,8 +1,8 @@
 """Exact Chern numbers of generalised Kummer varieties.
 
 The pipeline localizes the universal complex genus of Hilbert schemes of
-points on a toric surface at the torus-fixed points, combines the three
-twisted genus series through the logarithmic identity implemented in
+points on a toric surface at the torus-fixed points, assembles the Kummer
+series from the logarithm of the genus series as described in
 :mod:`kummer_chern.assembly`, and converts the resulting power-sum
 integrals into Chern numbers.  All arithmetic is exact.
 """
@@ -13,7 +13,6 @@ from .assembly import (
     hilbert_genus_series,
     kummer_chern_numbers,
     kummer_genus_series,
-    universal_series_quadratic_check,
 )
 from .localization import (
     GenericityError,
@@ -38,7 +37,6 @@ __all__ = [
     "hilbert_genus_series",
     "kummer_chern_numbers",
     "kummer_genus_series",
-    "universal_series_quadratic_check",
 ]
 
 __version__ = "0.1.0"

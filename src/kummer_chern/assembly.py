@@ -8,23 +8,30 @@ exp(t * x).  The combination
 
 is, coefficient by coefficient, the universal genus of the generalised
 Kummer varieties: the z^n coefficient equals the genus of the 2(n-1)-fold
-member of the family.  That coefficient must be homogeneous of weight
-2(n-1); the raw right-hand side is asserted to vanish in every other
-weight before the projection, since off-weight residue is the most
-sensitive symptom of a grading bug.
+member of the family.
 
 Twisting by exp(t * x) multiplies the genus series f by e^{tx}, which in
-the log-coefficient variables is the substitution s1 -> s1 + t.  The
-logarithm of the twisted series is exactly quadratic in the twist, which
-``universal_series_quadratic_check`` verifies via third differences.
+the log-coefficient variables is the substitution s1 -> s1 + t, so
+ln H(t) = sum_r t^r / r! * d^r/ds1^r ln H(0).  The twist multiplies the
+genus of the Hilbert scheme by exp(t c1), and c1 of the Hilbert scheme is
+the class induced by c1 of the surface; by the multiplicativity of
+Ellingsrud-Goettsche-Lehn, ln H(t) is then a polynomial of degree at most
+two in t whose t-dependence is a multiple of c1sq.  So the derivatives of
+order three and more vanish, and the combination above equals
+
+    (z d/dz)^2 d^2/ds1^2 ln H(0) / c1sq ,
+
+which needs one logarithm, of the untwisted series only.  Two checks run
+on every z^n coefficient L_n of ln H(0): L_n is homogeneous of weight 2n
+(off-weight residue is the most sensitive symptom of a grading bug), and
+d^3/ds1^3 L_n vanishes (the quadratic law of the twist).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from math import perm
 
-from . import localization
 from .localization import SurfaceModel, hilbert_genus
 from .partitions import Partition
 from .polyring import Q, SPoly, ZSeries, zseries_euler_sq, zseries_log
@@ -46,23 +53,17 @@ class TableValidationError(Exception):
 
 
 class QuadraticCheckError(Exception):
-    """The twisted log series failed to be quadratic in the twist."""
+    """The log series failed to be quadratic in the twist."""
 
 
-def hilbert_genus_series(
-    model: SurfaceModel, n_max: int, twists: Sequence[int], weight_cap: int
-) -> list[ZSeries]:
-    """One series per twist t; its z^k coefficient is the t-twisted genus.
+def hilbert_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
+    """The untwisted series H(0) through z^n_max, at weight cap 2 n_max.
 
-    Each k-point localization table is built once, read at every twist and
-    dropped before the next k.
+    Its z^k coefficient is the genus of the Hilbert scheme of k points,
+    homogeneous of weight 2k, so the cap truncates nothing.
     """
-    coeffs: list[list[SPoly]] = [[] for _ in twists]
-    for k in range(n_max + 1):
-        sums = localization.localized_sums(model, k, weight_cap)
-        for column, t in zip(coeffs, twists):
-            column.append(sums.genus_at(t, 2 * k))
-    return [ZSeries(column) for column in coeffs]
+    cap = 2 * n_max
+    return ZSeries(hilbert_genus(model, k, 0, cap) for k in range(n_max + 1))
 
 
 # the one per-model store: the longest Kummer series assembled so far
@@ -73,14 +74,16 @@ def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
     """Universal genus of the Kummer family through z^n_max.
 
     The z^n coefficient is homogeneous of weight 2(n-1) (the member has
-    complex dimension 2(n-1)), so all arithmetic is capped at weight
-    2(n_max - 1).
+    complex dimension 2(n-1)), so the series is capped at weight
+    2(n_max - 1); H(0) and its logarithm are built at cap 2 n_max, which
+    holds every one of their coefficients whole.
 
     The longest series assembled for each model is kept.  A request with
     n_max at most its order is served by slicing it and lowering the cap to
     2(n_max - 1): every kept coefficient is homogeneous of a weight within
     that cap, so the slice equals the series assembled directly, and the
-    higher cap only ran more of the vanishing and homogeneity checks.
+    higher cap only ran more of the vanishing, homogeneity and quadratic
+    checks.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -93,23 +96,39 @@ def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
     return ZSeries([SPoly(cap, c.terms) for c in longest.coeffs[: n_max + 1]])
 
 
+def _s1_derivative(poly: SPoly, r: int, cap: int) -> SPoly:
+    """The r-th derivative of poly in s1, truncated at weight cap.
+
+    A monomial's 1s are its trailing entries, so s1^e * rest becomes
+    perm(e, r) * s1^(e-r) * rest.
+    """
+    terms = {}
+    for mono, c in poly.terms.items():
+        e = mono.count(1)
+        if e >= r:
+            terms[mono[: len(mono) - r]] = c * perm(e, r)
+    return SPoly(cap, terms)
+
+
 def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
-    plus, minus, zero = hilbert_genus_series(model, n_max, (1, -1, 0), 2 * (n_max - 1))
-    log_combined = zseries_log(plus) + zseries_log(minus) - zseries_log(zero).scale(2)
-    raw = zseries_euler_sq(log_combined).scale(Q(1, model.c1sq))
-    coeffs = [raw[0]]
-    for n in range(1, n_max + 1):
-        w = 2 * (n - 1)
-        residue = raw[n].off_weight_part(w)
+    log_h = zseries_log(hilbert_genus_series(model, n_max))
+    cap = 2 * (n_max - 1)
+    second = []
+    for n, coeff in enumerate(log_h.coeffs):
+        residue = coeff.off_weight_part(2 * n)
         if not residue.is_zero():
             raise HomogeneityError(
-                f"z^{n} coefficient has off-weight part {residue} "
-                f"(expected pure weight {w})"
+                f"z^{n} coefficient of ln H(0) has off-weight part {residue} "
+                f"(expected pure weight {2 * n})"
             )
-        coeffs.append(raw[n].weight_part(w))
-    if not raw[0].is_zero():
-        raise HomogeneityError(f"constant coefficient is {raw[0]}, expected 0")
-    return ZSeries(coeffs)
+        cubic = _s1_derivative(coeff, 3, coeff.cap)
+        if not cubic.is_zero():
+            raise QuadraticCheckError(
+                f"z^{n} coefficient of ln H(0) has third s1-derivative {cubic}, "
+                "so ln H(t) is not quadratic in the twist"
+            )
+        second.append(_s1_derivative(coeff, 2, cap))
+    return zseries_euler_sq(ZSeries(second)).scale(Q(1, model.c1sq))
 
 
 @dataclass(frozen=True)
@@ -209,47 +228,3 @@ def hilbert_chern_numbers(model: SurfaceModel, k: int) -> ChernTable:
                 f"k={k}: entry {mu} = {table[mu]} is not integral"
             )
     return ChernTable(d, {mu: int(table[mu]) for mu in table.sorted_keys()})
-
-
-@dataclass(frozen=True)
-class QuadraticCheckReport:
-    """Outcome of the quadratic-in-twist verification."""
-
-    n_max: int
-    twists: tuple[int, ...]
-    windows_checked: int
-
-
-def third_difference_defect(logs: Mapping[int, ZSeries], m0: int) -> ZSeries:
-    """L(m0+3) - 3 L(m0+2) + 3 L(m0+1) - L(m0); zero iff quadratic there."""
-    return (
-        logs[m0 + 3]
-        - logs[m0 + 2].scale(3)
-        + logs[m0 + 1].scale(3)
-        - logs[m0]
-    )
-
-
-def universal_series_quadratic_check(
-    model: SurfaceModel, n_max: int
-) -> QuadraticCheckReport:
-    """Verify that ln of the twisted Hilbert series is quadratic in the twist.
-
-    Builds the series for twists -2..2 and requires both third finite
-    differences to vanish exactly, coefficient by coefficient, through
-    z^n_max.
-    """
-    twists = (-2, -1, 0, 1, 2)
-    series = hilbert_genus_series(model, n_max, twists, 2 * n_max)
-    logs = {m: zseries_log(s) for m, s in zip(twists, series)}
-    windows = 0
-    for m0 in twists[: len(twists) - 3]:
-        defect = third_difference_defect(logs, m0)
-        for n, coeff in enumerate(defect.coeffs):
-            if not coeff.is_zero():
-                raise QuadraticCheckError(
-                    f"third difference at twists {m0}..{m0 + 3} has z^{n} "
-                    f"coefficient {coeff}"
-                )
-        windows += 1
-    return QuadraticCheckReport(n_max, twists, windows)

@@ -132,9 +132,6 @@ class SPoly:
             other = SPoly.constant(other, self.cap)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, SPoly):
             return self.scale(other)
@@ -180,9 +177,6 @@ class SPoly:
         if not self.terms:
             return other == 0
         return len(self.terms) == 1 and self.terms.get((), 0) == other
-
-    def __hash__(self):
-        return hash((self.cap, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"SPoly(cap={self.cap}, {self!s})"

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from kummer_chern import localization
@@ -8,16 +10,15 @@ from kummer_chern.assembly import (
     _assemble_kummer_series,
     _check_euler_number,
     _check_todd_genus,
+    _s1_derivative,
     _validate_kummer_table,
     hilbert_chern_numbers,
     hilbert_genus_series,
     kummer_chern_numbers,
     kummer_genus_series,
-    third_difference_defect,
-    universal_series_quadratic_check,
 )
-from kummer_chern.localization import find_generic_model, localized_sums
-from kummer_chern.polyring import Q, SPoly, ZSeries, zseries_log
+from kummer_chern.localization import find_generic_model, hilbert_genus, localized_sums
+from kummer_chern.polyring import Q, SPoly, ZSeries
 from kummer_chern.symfun import ChernTable
 
 from oracles import sigma1
@@ -29,19 +30,18 @@ def p2():
 
 
 def test_hilbert_genus_series_order_one(p2):
-    (series,) = hilbert_genus_series(p2, 1, (0,), 2)
+    series = hilbert_genus_series(p2, 1)
     assert series[0].is_one()
     assert series[1] == SPoly(2, {(1, 1): Q(9, 2), (2,): 3})
 
 
 def test_hilbert_genus_series_order_zero(p2):
-    for t in (-1, 0, 1):
-        (series,) = hilbert_genus_series(p2, 0, (t,), 0)
-        assert series.order == 0 and series[0].is_one()
+    series = hilbert_genus_series(p2, 0)
+    assert series.order == 0 and series[0].is_one()
 
 
 def test_hilbert_series_z2_coefficient_is_homogeneous(p2):
-    (series,) = hilbert_genus_series(p2, 2, (0,), 4)
+    series = hilbert_genus_series(p2, 2)
     assert series[2].is_homogeneous(4)
 
 
@@ -136,13 +136,9 @@ def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):
     import kummer_chern.assembly as assembly
 
     original = assembly.zseries_log
-    calls = []
 
     def corrupting_log(series):
         out = original(series)
-        calls.append(None)
-        if len(calls) != 1:  # ln H(1) only; a shift shared by all three cancels
-            return out
         coeffs = list(out.coeffs)
         coeffs[2] = coeffs[2] + SPoly.constant(1, out.weight_cap)
         return ZSeries(coeffs)
@@ -150,6 +146,36 @@ def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):
     monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
     with pytest.raises(HomogeneityError, match="off-weight"):
         _assemble_kummer_series(p2, 3)
+
+
+def test_quadratic_check_fires_on_a_cubic_s1_term(p2, monkeypatch):
+    import kummer_chern.assembly as assembly
+
+    original = assembly.zseries_log
+
+    def corrupting_log(series):
+        out = original(series)
+        coeffs = list(out.coeffs)
+        # s1^4 has weight 4, so the homogeneity check passes it
+        coeffs[2] = coeffs[2] + SPoly(out.weight_cap, {(1, 1, 1, 1): 1})
+        return ZSeries(coeffs)
+
+    monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
+    with pytest.raises(QuadraticCheckError):
+        _assemble_kummer_series(p2, 3)
+
+
+def test_twisted_genus_is_the_s1_shift_of_the_untwisted_one():
+    model = find_generic_model("p2", 5)
+    for k in range(6):
+        cap = 2 * k
+        untwisted = hilbert_genus(model, k, 0, cap)
+        derivatives = [_s1_derivative(untwisted, m, cap) for m in range(cap + 1)]
+        for t in range(-2, 3):
+            shifted = SPoly.zero(cap)
+            for m, derivative in enumerate(derivatives):
+                shifted = shifted + derivative.scale(Q(t**m, factorial(m)))
+            assert hilbert_genus(model, k, t, cap) == shifted, (k, t)
 
 
 def test_surface_independence_small():
@@ -178,43 +204,3 @@ def test_hilbert_chern_numbers(p2):
     assert all(isinstance(v, int) for v in two.numbers.values())
     zero = hilbert_chern_numbers(p2, 0)
     assert dict(zero.numbers) == {(): 1}
-
-
-def test_quadratic_check_passes(p2):
-    report = universal_series_quadratic_check(p2, 3)
-    assert report.windows_checked == 2
-
-
-def test_quadratic_check_negative_control(p2):
-    W = 4
-    twists = range(-2, 3)
-    logs = dict(zip(twists, map(zseries_log, hilbert_genus_series(p2, 2, twists, W))))
-    assert all(
-        c.is_zero() for c in third_difference_defect(logs, -2).coeffs
-    )
-    corrupted = dict(logs)
-    bad = list(logs[2].coeffs)
-    bad[1] = bad[1] + SPoly.constant(1, W)
-    corrupted[2] = ZSeries(bad)
-    defect = third_difference_defect(corrupted, -1)
-    assert any(not c.is_zero() for c in defect.coeffs)
-
-
-def test_quadratic_check_error_message(p2, monkeypatch):
-    import kummer_chern.assembly as assembly
-
-    original = assembly.zseries_log
-    calls = []
-
-    def corrupting_log(series):
-        out = original(series)
-        calls.append(None)
-        if len(calls) != 3:  # corrupt a single twist, not all five alike
-            return out
-        coeffs = list(out.coeffs)
-        coeffs[-1] = coeffs[-1] + SPoly.constant(Q(1, 7), out.weight_cap)
-        return ZSeries(coeffs)
-
-    monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
-    with pytest.raises(QuadraticCheckError):
-        assembly.universal_series_quadratic_check(p2, 2)

@@ -150,6 +150,19 @@ def test_genus_point(capsys):
     assert "1 | 1" in out
 
 
+def test_genus_json_and_csv(capsys):
+    code, out, _ = run(
+        capsys, "genus", "--name", "signature", "--n-max", "3", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)[0]["values"] == {"2": "-16", "3": "84"}
+    code, out, _ = run(
+        capsys, "genus", "--name", "signature", "--n-max", "3", "--format", "csv"
+    )
+    assert code == 0
+    assert out.splitlines() == ["n,value", "2,-16", "3,84"]
+
+
 def test_genus_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["genus", "--name", "elliptic", "--n-max", "2"])
