@@ -60,10 +60,13 @@ def hilbert_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
     """The untwisted series H(0) through z^n_max, at weight cap 2 n_max.
 
     Its z^k coefficient is the genus of the Hilbert scheme of k points,
-    homogeneous of weight 2k, so the cap truncates nothing.
+    homogeneous of weight 2k, lifted from cap 2k to the common cap 2 n_max.
+    The twisted series H(t) is H(0) with s1 shifted by t.
     """
     cap = 2 * n_max
-    return ZSeries(hilbert_genus(model, k, 0, cap) for k in range(n_max + 1))
+    return ZSeries(
+        SPoly(cap, hilbert_genus(model, k).terms) for k in range(n_max + 1)
+    )
 
 
 # the one per-model store: the longest Kummer series assembled so far
@@ -219,7 +222,7 @@ def hilbert_chern_numbers(model: SurfaceModel, k: int) -> ChernTable:
     """Chern numbers of the Hilbert scheme of k points on the surface."""
     if k < 0:
         raise ValueError("need k >= 0")
-    genus = hilbert_genus(model, k, 0, 2 * k)
+    genus = hilbert_genus(model, k)
     d = 2 * k
     table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
     for mu in table.sorted_keys():

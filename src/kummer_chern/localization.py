@@ -14,11 +14,10 @@ the length-2k tangent representation contributes the two weights
 
 The residue formula then turns integrals over the Hilbert scheme into
 sums over fixed points of the localized class divided by the product of
-the tangent weights.  For the genus with series exp(sum_j s_j x^j),
-twisted by exp(t*x), the localized class at a fixed point with weight
-power sums q_j is
+the tangent weights.  For the genus with series exp(sum_j s_j x^j) the
+localized class at a fixed point with weight power sums q_j is
 
-    exp( sum_j (s_j + t*[j==1]) q_j u^j )
+    exp( sum_j s_j q_j u^j )
 
 where u is a bookkeeping variable marking cohomological degree: the u^2k
 coefficient integrates, everything below must cancel across fixed points.
@@ -27,7 +26,7 @@ coefficient integrates, everything below must cancel across fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import lcm
 from operator import add
 from typing import Mapping
 
@@ -197,62 +196,33 @@ def tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
 class LocalizedSums:
     """Fixed-point sums for the Hilbert scheme of k points.
 
-    table[(d, m)] is the sum over all fixed points of
-
-        q_1^m / (m! * euler_product) * P_d
-
-    for d + m <= 2k and d <= weight cap, where P_d is the weight-d part of
-    exp(sum_j s_j q_j).  The genus twisted by t is
-    recovered at u-degree D as sum_m t^m table[(D - m, m)]; entries with
-    d + m < 2k vanish identically (checked at construction time), and the
-    untwisted value is homogeneous of weight D (checked at every read that
-    the cap covers).
+    table[d] is the sum over all fixed points of P_d / euler_product for
+    d <= 2k, where P_d is the weight-d part of exp(sum_j s_j q_j).  Entries
+    with d < 2k vanish identically (checked at construction time), and
+    table[2k] is the genus, homogeneous of weight 2k = weight_cap.
     """
 
     k: int
     weight_cap: int
-    table: Mapping[tuple[int, int], SPoly]
-
-    def genus_at(self, t: int, degree: int) -> SPoly:
-        acc = SPoly.zero(self.weight_cap)
-        tm = 1
-        for m in range(degree + 1):
-            if tm:
-                part = self.table.get((degree - m, m))
-                if part is not None and not part.is_zero():
-                    acc = acc + part.scale(tm)
-            tm *= t
-        if t == 0 and degree <= self.weight_cap and not acc.is_homogeneous(degree):
-            raise VanishingCheckError(
-                f"t=0 genus of k={self.k} not homogeneous of weight {degree}: {acc}"
-            )
-        return acc
+    table: Mapping[int, SPoly]
 
 
-def localized_sums(model: SurfaceModel, k: int, weight_cap: int) -> LocalizedSums:
+def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     """Accumulate all fixed-point data of the Hilbert scheme of k points.
 
     The coefficient of s_lam in exp(sum_j s_j q_j) is q_lam / sym_factor(lam),
-    so entry (d, m) is sum_lam s_lam * N(lam + 1^m) / (D * m! * sym_factor(lam))
-    over partitions lam of d, with D = lcm of the Euler products and the
-    integer numerators
+    so entry d is sum_lam s_lam * N(lam) / (D * sym_factor(lam)) over
+    partitions lam of d, with D = lcm of the Euler products and the integer
+    numerators
 
-        N(mu) = sum over fixed points of (D / euler_product) * q_mu .
+        N(lam) = sum over fixed points of (D / euler_product) * q_lam .
 
-    q_lam * q_1^m only depends on the merged partition lam + 1^m, so each
-    point adds one integer per partition mu that some entry reads; every
-    (d, m) entry is then built by one exact division.
+    Each point adds one integer per partition of size <= 2k; every entry is
+    then built by one exact division per partition.
     """
     two_k = 2 * k
-    dmax = min(two_k, weight_cap)
-    # mu = lam + 1^m with |lam| <= dmax; descending order makes mu[1:] a
-    # partition that comes earlier in the list
-    mus = [
-        mu
-        for size in range(two_k + 1)
-        for mu in enumerate_partitions(size)
-        if size - mu.count(1) <= dmax
-    ]
+    # descending order makes mu[1:] a partition that comes earlier in the list
+    mus = [mu for size in range(two_k + 1) for mu in enumerate_partitions(size)]
     index = {mu: i for i, mu in enumerate(mus)}
     steps = [(mu[0] - 1, index[mu[1:]]) for mu in mus[1:]]
     points = [tangent_data(model, point) for point in fixed_points(model, k)]
@@ -265,23 +235,21 @@ def localized_sums(model: SurfaceModel, k: int, weight_cap: int) -> LocalizedSum
             values.append(q[j] * values[parent])
         numerators = list(map(add, numerators, values))
     table = {}
-    for d in range(dmax + 1):
-        for m in range(two_k - d + 1):
-            den = D * factorial(m)
-            terms = {
-                lam: Q(numerators[index[lam + (1,) * m]], den * sym_factor(lam))
-                for lam in enumerate_partitions(d)
-            }
-            poly = SPoly(weight_cap, terms)
-            if d + m < two_k and not poly.is_zero():
-                raise VanishingCheckError(
-                    f"below-top localization sum (degree {d}, twist power {m}) "
-                    f"for k={k} on {model.name}{model.weights} is {poly}"
-                )
-            table[(d, m)] = poly
-    return LocalizedSums(k, weight_cap, table)
+    for d in range(two_k + 1):
+        terms = {
+            lam: Q(numerators[index[lam]], D * sym_factor(lam))
+            for lam in enumerate_partitions(d)
+        }
+        poly = SPoly(two_k, terms)
+        if d < two_k and not poly.is_zero():
+            raise VanishingCheckError(
+                f"below-top localization sum (degree {d}) for k={k} on "
+                f"{model.name}{model.weights} is {poly}"
+            )
+        table[d] = poly
+    return LocalizedSums(k, two_k, table)
 
 
-def hilbert_genus(model: SurfaceModel, k: int, t: int, weight_cap: int) -> SPoly:
-    """Universal genus of the Hilbert scheme of k points, twisted by t."""
-    return localized_sums(model, k, weight_cap).genus_at(t, 2 * k)
+def hilbert_genus(model: SurfaceModel, k: int) -> SPoly:
+    """Universal genus of the Hilbert scheme of k points, of weight 2k."""
+    return localized_sums(model, k).table[2 * k]

@@ -80,18 +80,8 @@ class SPoly:
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.terms.get((), 0) == 1
 
-    def weights(self) -> list[int]:
-        """Sorted list of weights that occur."""
-        return sorted({sum(mono) for mono in self.terms})
-
-    def weight_part(self, w: int) -> "SPoly":
-        return SPoly(self.cap, {m: c for m, c in self.terms.items() if sum(m) == w})
-
     def off_weight_part(self, w: int) -> "SPoly":
         return SPoly(self.cap, {m: c for m, c in self.terms.items() if sum(m) != w})
-
-    def is_homogeneous(self, w: int) -> bool:
-        return all(sum(m) == w for m in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
