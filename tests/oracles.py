@@ -16,7 +16,12 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable
 
-from kummer_chern.localization import FixedPoint, SurfaceModel, tangent_data
+from kummer_chern.localization import (
+    FixedPoint,
+    SurfaceModel,
+    fixed_points,
+    tangent_data,
+)
 from kummer_chern.polyring import Monomial, Q, SPoly, ZSeries
 
 
@@ -292,6 +297,20 @@ def fixed_point_contribution(
             coeff = coeff + t
         E.append(coeff.scale(data.power_sums[j - 1]))
     return upoly_exp(UPoly(E)).scale(Q(1, data.euler_product))
+
+
+def localized_twisted_sums(model: SurfaceModel, k: int, t: int) -> UPoly:
+    """Sum of the literal fixed-point contributions on the k-point scheme.
+
+    Degrees below 2k cancel; degree 2k is the genus twisted by t.
+    """
+    W = 2 * k
+    total = [SPoly.zero(W) for _ in range(W + 1)]
+    for fp in fixed_points(model, k):
+        c = fixed_point_contribution(model, fp, t, W)
+        for d in range(W + 1):
+            total[d] = total[d] + c[d]
+    return UPoly(total)
 
 
 # -- z-series arithmetic that only the tests need -----------------------------

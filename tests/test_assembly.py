@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from kummer_chern import localization
@@ -8,17 +10,18 @@ from kummer_chern.assembly import (
     _assemble_kummer_series,
     _check_euler_number,
     _check_todd_genus,
+    _s1_derivative,
     _validate_kummer_table,
     hilbert_chern_numbers,
     hilbert_genus_series,
     kummer_chern_numbers,
     kummer_genus_series,
 )
-from kummer_chern.localization import find_generic_model, localized_sums
+from kummer_chern.localization import find_generic_model, hilbert_genus, localized_sums
 from kummer_chern.polyring import Q, SPoly, ZSeries
 from kummer_chern.symfun import ChernTable
 
-from oracles import sigma1
+from oracles import localized_twisted_sums, sigma1
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,22 @@ def test_quadratic_check_fires_on_a_cubic_s1_term(p2, monkeypatch):
     monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
     with pytest.raises(QuadraticCheckError):
         _assemble_kummer_series(p2, 3)
+
+
+def test_twisted_genus_is_the_s1_shift_of_the_untwisted_one():
+    # the literal twisted fixed-point sum against the s1-shift that the
+    # assembly applies to the untwisted genus
+    for name, depth in (("p2", 5), ("p1xp1", 4)):
+        model = find_generic_model(name, depth)
+        for k in range(depth + 1):
+            cap = 2 * k
+            untwisted = hilbert_genus(model, k)
+            derivatives = [_s1_derivative(untwisted, m, cap) for m in range(cap + 1)]
+            for t in range(-2, 3):
+                shifted = SPoly.zero(cap)
+                for m, derivative in enumerate(derivatives):
+                    shifted = shifted + derivative.scale(Q(t**m, factorial(m)))
+                assert localized_twisted_sums(model, k, t)[cap] == shifted, (name, k, t)
 
 
 def test_surface_independence_small():
