@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid configuration,
-3 genericity failure (the torus-parameter schedule was exhausted or the
-explicitly requested weights are degenerate).
+Exit codes: 0 success, 1 verification mismatch, 2 invalid configuration
+(including an --out file that cannot be written), 3 genericity failure
+(the torus-parameter schedule was exhausted or the explicitly requested
+weights are degenerate).
 """
 
 from __future__ import annotations
@@ -104,13 +105,19 @@ def _model_for(args, depth: int) -> SurfaceModel:
     return find_generic_model(args.surface, depth, weights=args.weights)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str, code: int = EXIT_OK) -> int:
+    """Write the output and return ``code``, or EXIT_BAD_CONFIG if --out fails."""
     out = getattr(args, "out", None)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    return code
 
 
 def _kummer_results(model: SurfaceModel, n_max: int) -> list[KummerResult]:
@@ -172,8 +179,7 @@ def cmd_compute(args) -> int:
             for note in r.advisories:
                 lines.append(f"  advisory: {note}")
         text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    return EXIT_OK
+    return _emit(args, text)
 
 
 def cmd_verify(args) -> int:
@@ -246,8 +252,7 @@ def cmd_hilbert(args) -> int:
         for mu in table.sorted_keys():
             lines.append(f"  {format_chern_key(mu)} | {_fmt_value(table[mu])}")
         text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    return EXIT_OK if euler_ok else EXIT_MISMATCH
+    return _emit(args, text, EXIT_OK if euler_ok else EXIT_MISMATCH)
 
 
 def cmd_genus(args) -> int:
@@ -275,8 +280,7 @@ def cmd_genus(args) -> int:
         lines = [f"{args.name} genus on the Kummer tables, surface {args.surface}"]
         lines.extend(f"  {n} | {_fmt_value(v)}" for n, v in values)
         text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    return EXIT_OK
+    return _emit(args, text)
 
 
 def _euler_series_coefficient(colors: int, k: int) -> int:

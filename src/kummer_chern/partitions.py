@@ -44,17 +44,6 @@ def enumerate_partitions(k: int) -> tuple[Partition, ...]:
     return tuple(gen(k, k))
 
 
-def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for part in lam:
-        for c in range(part):
-            cols[c] += 1
-    return tuple(cols)
-
-
 def cell_hooks(lam: Partition) -> list[CellHook]:
     """One entry per cell: arm = boxes strictly right, leg = boxes strictly below."""
     hooks = []

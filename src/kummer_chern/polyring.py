@@ -58,17 +58,6 @@ class SPoly:
     def constant(cls, value, cap: int) -> "SPoly":
         return cls(cap, {(): value})
 
-    @classmethod
-    def one(cls, cap: int) -> "SPoly":
-        return cls.constant(1, cap)
-
-    @classmethod
-    def variable(cls, j: int, cap: int) -> "SPoly":
-        """The generator s_j (zero if its weight j exceeds the cap)."""
-        if j < 1:
-            raise ValueError("variable subscripts start at 1")
-        return cls(cap, {(j,): 1})
-
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, mono: Monomial):
@@ -157,9 +146,6 @@ class SPoly:
         out.terms = {m: v * c for m, v in self.terms.items()}
         return out
 
-    def __truediv__(self, c):
-        return self.scale(Q(1, c) if isinstance(c, int) else 1 / c)
-
     def __eq__(self, other):
         if isinstance(other, SPoly):
             return self.cap == other.cap and self.terms == other.terms
@@ -228,18 +214,6 @@ class ZSeries:
 
     def __getitem__(self, n: int) -> SPoly:
         return self.coeffs[n]
-
-    def _check(self, other: "ZSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("truncation order mismatch")
-
-    def __add__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        return ZSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        return ZSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, c) -> "ZSeries":
         return ZSeries([p.scale(c) for p in self.coeffs])

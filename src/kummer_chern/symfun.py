@@ -2,20 +2,28 @@
 
 The Chern classes of a manifold are the elementary symmetric functions of
 its Chern roots, while localization most naturally produces power sums of
-the roots.  Both transitions have closed forms (Macdonald, ch. I, 2.14'
-and the Girard-Waring formula):
+the roots.  One transition matrix serves both directions: the expansion of
+the power sums in the elementary basis (the Girard-Waring formula),
 
-    e_r = sum_{lam |- r} (-1)^(r - l(lam)) p_lam / z_lam
     p_r = sum_{lam |- r} (-1)^(r - l(lam)) r (l(lam) - 1)! / m(lam) * e_lam
 
-where l(lam) is the number of parts, m(lam) = prod_j mult_j(lam)! and
-z_lam = m(lam) * prod_i lam_i.
+where l(lam) is the number of parts and m(lam) = prod_j mult_j(lam)!.  Its
+entries are integers.  Products of basis elements are indexed by
+partitions, and multiplying two indexed elements concatenates the index
+partitions, so a linear combination is just a dict mapping partitions to
+coefficients.  The expansion of p_lam is its first factor times the cached
+expansion of the product of the remaining parts.
 
-Products of basis elements are indexed by partitions, and multiplying two
-indexed elements concatenates the index partitions, so a linear combination
-is just a dict mapping partitions to rationals.  The expansion of a product
-e_mu (or p_lam) is its first factor times the cached expansion of the
-product of the remaining parts.
+Reading the Chern numbers c_mu off the power-sum integrals
+
+    P_lam = sum_mu M[lam][mu] c_mu ,   M[lam][mu] = coefficient of e_mu in p_lam,
+
+is a triangular solve: the row of lam reads only partitions mu that refine
+lam, and its diagonal entry is prod_i (-1)^(lam_i - 1) lam_i.  Walking the
+partitions from most parts to fewest, each c_lam is one exact division by
+that diagonal.  The solve is carried out over the rationals, so it is the
+exact inverse of the forward product on any rational table; whether a
+table is integral is for its caller to check.
 
 A genus with series f(x) = exp(sum_j l_j x^j) takes the value
 
@@ -50,50 +58,30 @@ def combo_mul(a: Mapping, b: Mapping) -> Combo:
 
 
 @lru_cache(maxsize=None)
-def elementary_in_power_basis(r: int) -> Mapping[Partition, object]:
-    """Expansion of e_r in the power-sum basis: sum (-1)^(r-l) p_lam / z_lam."""
-    if r < 0:
-        raise ValueError("negative index")
-    return {
-        lam: Q((-1) ** (r - len(lam)), sym_factor(lam) * prod(lam))
-        for lam in enumerate_partitions(r)
-    }
+def power_in_elementary_basis(r: int) -> Mapping[Partition, int]:
+    """Expansion of p_r in the elementary-symmetric basis (Girard-Waring).
 
-
-@lru_cache(maxsize=None)
-def elementary_product_in_power_basis(mu: Partition) -> Combo:
-    """Expansion of e_mu = e_{mu_1} e_{mu_2} ... in the power-sum basis.
-
-    Cached; treat the returned dict as immutable.
+    The coefficients are integers: r (l - 1)! / m(lam) is the sum over the
+    distinct parts j of j times a multinomial coefficient of l - 1.
     """
-    if not mu:
-        return {(): Q(1)}
-    return combo_mul(
-        elementary_in_power_basis(mu[0]), elementary_product_in_power_basis(mu[1:])
-    )
-
-
-@lru_cache(maxsize=None)
-def power_in_elementary_basis(r: int) -> Mapping[Partition, object]:
-    """Expansion of p_r in the elementary-symmetric basis (Girard-Waring)."""
     if r < 0:
         raise ValueError("negative index")
     if r == 0:
-        return {(): Q(1)}
+        return {(): 1}
     return {
-        lam: Q((-1) ** (r - len(lam)) * r * factorial(len(lam) - 1), sym_factor(lam))
+        lam: (-1) ** (r - len(lam)) * r * factorial(len(lam) - 1) // sym_factor(lam)
         for lam in enumerate_partitions(r)
     }
 
 
 @lru_cache(maxsize=None)
 def power_product_in_elementary_basis(lam: Partition) -> Combo:
-    """Expansion of p_lam in the elementary-symmetric basis.
+    """Expansion of p_lam in the elementary-symmetric basis, integer entries.
 
     Cached; treat the returned dict as immutable.
     """
     if not lam:
-        return {(): Q(1)}
+        return {(): 1}
     return combo_mul(
         power_in_elementary_basis(lam[0]), power_product_in_elementary_basis(lam[1:])
     )
@@ -132,16 +120,23 @@ class ChernTable:
 
 
 def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTable:
-    """Convert power-sum integrals P_lam (lam |- d) to Chern numbers."""
+    """Convert power-sum integrals P_lam (lam |- d) to Chern numbers.
+
+    Solves P_lam = sum_mu M[lam][mu] c_mu on the rows of
+    power_product_in_elementary_basis, from most parts to fewest, so every
+    c_mu a row reads is known before the row is reached.
+    """
     numbers = {}
-    for mu in enumerate_partitions(d):
-        total = Q(0)
-        for lam, c in elementary_product_in_power_basis(mu).items():
-            try:
-                total += c * P[lam]
-            except KeyError:
-                raise KeyError(f"power integral for {lam} missing") from None
-        numbers[mu] = total
+    for lam in sorted(enumerate_partitions(d), key=len, reverse=True):
+        try:
+            total = P[lam]
+        except KeyError:
+            raise KeyError(f"power integral for {lam} missing") from None
+        row = power_product_in_elementary_basis(lam)
+        for mu, c in row.items():
+            if mu != lam:
+                total -= c * numbers[mu]
+        numbers[lam] = Q(total) / row[lam]
     return ChernTable(d, numbers)
 
 
@@ -243,21 +238,3 @@ def format_chern_key(mu: Partition) -> str:
         bits.append(f"c{parts[i]}" + (f"^{e}" if e > 1 else ""))
         i = j
     return " ".join(bits)
-
-
-def parse_chern_key(key: str) -> Partition:
-    """Inverse of format_chern_key."""
-    key = key.strip()
-    if key == "1":
-        return ()
-    parts: list[int] = []
-    for bit in key.split():
-        if not bit.startswith("c"):
-            raise ValueError(f"bad Chern monomial {key!r}")
-        body = bit[1:]
-        if "^" in body:
-            base, exp = body.split("^")
-            parts.extend([int(base)] * int(exp))
-        else:
-            parts.append(int(body))
-    return tuple(sorted(parts, reverse=True))

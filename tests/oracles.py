@@ -5,7 +5,9 @@ the library: partitions by ascending composition, counting through the
 divisor-sum recurrence, tangent weights through explicit module maps,
 symmetric functions as honest polynomials in a finite set of variables,
 the localized class of each fixed point as a literal truncated exponential,
-and the exponential of a scalar series as the sum of its powers.
+the exponential of a scalar series as the sum of its powers, and the
+elementary symmetric functions in the power-sum basis by their closed form,
+the inverse of the library's one transition matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from typing import Iterable
 
 from kummer_chern.localization import (
@@ -22,7 +24,9 @@ from kummer_chern.localization import (
     fixed_points,
     tangent_data,
 )
+from kummer_chern.partitions import Partition, enumerate_partitions, sym_factor
 from kummer_chern.polyring import Monomial, Q, SPoly, ZSeries
+from kummer_chern.symfun import Combo, combo_mul
 
 
 # -- partitions --------------------------------------------------------------
@@ -41,6 +45,37 @@ def partitions_ascending(k: int) -> set[tuple[int, ...]]:
 
     walk(k, 1, ())
     return out
+
+
+def conjugate(lam: Partition) -> Partition:
+    """Transpose of the Young diagram."""
+    if not lam:
+        return ()
+    cols = [0] * lam[0]
+    for part in lam:
+        for c in range(part):
+            cols[c] += 1
+    return tuple(cols)
+
+
+def refines(mu: Partition, lam: Partition) -> bool:
+    """Whether the parts of mu split into groups with sums the parts of lam."""
+    if sum(mu) != sum(lam):
+        return False
+
+    def fill(i: int, room: tuple[int, ...]) -> bool:
+        # place mu[i:] into the remaining room of each part of lam
+        if i == len(mu):
+            return True
+        tried = set()
+        for j, r in enumerate(room):
+            if r >= mu[i] and r not in tried:
+                tried.add(r)
+                if fill(i + 1, room[:j] + (r - mu[i],) + room[j + 1 :]):
+                    return True
+        return False
+
+    return fill(0, tuple(lam))
 
 
 def sigma1(n: int) -> int:
@@ -208,7 +243,7 @@ class UPoly:
     @classmethod
     def one(cls, degree_cap: int, weight_cap: int) -> "UPoly":
         return cls(
-            [SPoly.one(weight_cap)]
+            [spoly_one(weight_cap)]
             + [SPoly.zero(weight_cap)] * degree_cap
         )
 
@@ -268,7 +303,7 @@ def upoly_exp(E: UPoly) -> UPoly:
     if not E.coeffs[0].is_zero():
         raise ValueError("exp needs a vanishing constant term")
     D, W = E.degree_cap, E.weight_cap
-    P = [SPoly.one(W)]
+    P = [spoly_one(W)]
     for d in range(1, D + 1):
         acc = SPoly.zero(W)
         for j in range(1, d + 1):
@@ -292,7 +327,7 @@ def fixed_point_contribution(
     two_k = len(data.weights)
     E = [SPoly.zero(weight_cap)]
     for j in range(1, two_k + 1):
-        coeff = SPoly.variable(j, weight_cap)
+        coeff = spoly_variable(j, weight_cap)
         if j == 1 and t:
             coeff = coeff + t
         E.append(coeff.scale(data.power_sums[j - 1]))
@@ -313,17 +348,41 @@ def localized_twisted_sums(model: SurfaceModel, k: int, t: int) -> UPoly:
     return UPoly(total)
 
 
-# -- z-series arithmetic that only the tests need -----------------------------
+# -- polynomial and z-series arithmetic that only the tests need --------------
+
+
+def spoly_one(cap: int) -> SPoly:
+    return SPoly.constant(1, cap)
+
+
+def spoly_variable(j: int, cap: int) -> SPoly:
+    """The generator s_j (zero if its weight j exceeds the cap)."""
+    if j < 1:
+        raise ValueError("variable subscripts start at 1")
+    return SPoly(cap, {(j,): 1})
+
+
+def spoly_div(p: SPoly, c) -> SPoly:
+    return p.scale(Q(1, c) if isinstance(c, int) else 1 / c)
 
 
 def zseries_one(order: int, weight_cap: int) -> ZSeries:
-    return ZSeries([SPoly.one(weight_cap)] + [SPoly.zero(weight_cap)] * order)
+    return ZSeries([spoly_one(weight_cap)] + [SPoly.zero(weight_cap)] * order)
+
+
+def _check_orders(A: ZSeries, B: ZSeries) -> None:
+    if A.order != B.order:
+        raise ValueError("truncation order mismatch")
+
+
+def zseries_add(A: ZSeries, B: ZSeries) -> ZSeries:
+    _check_orders(A, B)
+    return ZSeries([a + b for a, b in zip(A.coeffs, B.coeffs)])
 
 
 def zseries_mul(A: ZSeries, B: ZSeries) -> ZSeries:
     """Product of two series of the same order, truncated at that order."""
-    if A.order != B.order:
-        raise ValueError("truncation order mismatch")
+    _check_orders(A, B)
     N, W = A.order, A.weight_cap
     out = [SPoly.zero(W) for _ in range(N + 1)]
     for i, a in enumerate(A.coeffs):
@@ -343,7 +402,7 @@ def zseries_exp(S: ZSeries) -> ZSeries:
     if not S.coeffs[0].is_zero():
         raise ValueError("exp needs a vanishing constant term")
     N, W = S.order, S.weight_cap
-    E = [SPoly.one(W)]
+    E = [spoly_one(W)]
     for n in range(1, N + 1):
         acc = SPoly.zero(W)
         for j in range(1, n + 1):
@@ -378,6 +437,55 @@ def scalar_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Product of two series truncated at the shorter length."""
     n = min(len(a), len(b))
     return [sum((a[j] * b[k - j] for j in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+# -- the elementary basis in power sums (Macdonald I, 2.14') -----------------
+
+
+@lru_cache(maxsize=None)
+def elementary_in_power_basis(r: int) -> dict[Partition, object]:
+    """Expansion of e_r in the power-sum basis: sum (-1)^(r-l) p_lam / z_lam.
+
+    z_lam = m(lam) * prod_i lam_i, with m(lam) the product of multiplicity
+    factorials and l the number of parts.
+    """
+    if r < 0:
+        raise ValueError("negative index")
+    return {
+        lam: Q((-1) ** (r - len(lam)), sym_factor(lam) * prod(lam))
+        for lam in enumerate_partitions(r)
+    }
+
+
+@lru_cache(maxsize=None)
+def elementary_product_in_power_basis(mu: Partition) -> Combo:
+    """Expansion of e_mu = e_{mu_1} e_{mu_2} ... in the power-sum basis.
+
+    Cached; treat the returned dict as immutable.
+    """
+    if not mu:
+        return {(): Q(1)}
+    return combo_mul(
+        elementary_in_power_basis(mu[0]), elementary_product_in_power_basis(mu[1:])
+    )
+
+
+def parse_chern_key(key: str) -> Partition:
+    """Inverse of kummer_chern.symfun.format_chern_key."""
+    key = key.strip()
+    if key == "1":
+        return ()
+    parts: list[int] = []
+    for bit in key.split():
+        if not bit.startswith("c"):
+            raise ValueError(f"bad Chern monomial {key!r}")
+        body = bit[1:]
+        if "^" in body:
+            base, exp = body.split("^")
+            parts.extend([int(base)] * int(exp))
+        else:
+            parts.append(int(body))
+    return tuple(sorted(parts, reverse=True))
 
 
 # -- symmetric polynomials in finitely many variables ------------------------
@@ -456,8 +564,6 @@ def surface_product_chern_table(x_numbers: dict, y_numbers: dict) -> dict:
         if (e1, e2) == (0, 1):
             return numbers[(2,)]
         return 0
-
-    from kummer_chern.partitions import enumerate_partitions
 
     out = {}
     for mu in enumerate_partitions(4):

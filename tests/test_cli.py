@@ -63,6 +63,15 @@ def test_compute_out_file(tmp_path, capsys):
     assert records[0]["chern_numbers"] == {"c2": "24"}
 
 
+def test_compute_out_to_unwritable_path_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.json"
+    code, out, err = run(capsys, "compute", "--n-max", "2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot write --out {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists() and not target.parent.exists()
+
+
 def test_compute_rejects_bad_n_max(capsys):
     code, _, err = run(capsys, "compute", "--n-max", "0")
     assert code == 2

@@ -2,14 +2,13 @@ import pytest
 
 from kummer_chern.partitions import (
     cell_hooks,
-    conjugate,
     enumerate_partitions,
     multipartitions,
     multiplicities,
     sym_factor,
 )
 
-from oracles import colored_partition_counts, partitions_ascending
+from oracles import colored_partition_counts, conjugate, partitions_ascending
 
 
 def test_partitions_of_zero_and_three():

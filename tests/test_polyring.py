@@ -13,7 +13,11 @@ from kummer_chern.polyring import (
 from oracles import (
     UPoly,
     monomial_insert,
+    spoly_div,
+    spoly_one,
+    spoly_variable,
     upoly_exp,
+    zseries_add,
     zseries_exp,
     zseries_mul,
     zseries_one,
@@ -33,7 +37,7 @@ spolys = st.dictionaries(monomials, rationals, max_size=5).map(
 
 
 def s(j, cap=CAP):
-    return SPoly.variable(j, cap)
+    return spoly_variable(j, cap)
 
 
 def test_monomial_helpers():
@@ -44,7 +48,7 @@ def test_monomial_helpers():
 
 
 def test_mul_truncates_at_cap():
-    one_plus = SPoly.one(2) + s(1, 2)
+    one_plus = spoly_one(2) + s(1, 2)
     assert one_plus * one_plus == SPoly(2, {(): 1, (1,): 2, (1, 1): 1})
     assert (s(1, 2) * s(2, 2)).is_zero()  # weight 3 > cap 2
     assert s(2, 4).scale(3) * s(2, 4).scale(5) == SPoly(4, {(2, 2): 15})
@@ -61,7 +65,7 @@ def test_scalar_arithmetic_and_division():
     p = s(1) + 2
     assert p.coefficient(()) == 2
     assert (p - 2) == s(1)
-    assert (s(2).scale(6) / 3) == s(2).scale(2)
+    assert spoly_div(s(2).scale(6), 3) == s(2).scale(2)
     assert s(1).scale(Q(1, 2)) * 2 == s(1)
 
 
@@ -84,7 +88,7 @@ def test_ring_axioms(a, b, c):
 def test_upoly_exp_single_variable():
     E = UPoly([SPoly.zero(2), s(1, 2).scale(3), SPoly.zero(2)])
     expected = UPoly(
-        [SPoly.one(2), s(1, 2).scale(3), SPoly(2, {(1, 1): Q(9, 2)})]
+        [spoly_one(2), s(1, 2).scale(3), SPoly(2, {(1, 1): Q(9, 2)})]
     )
     assert upoly_exp(E) == expected
 
@@ -108,9 +112,9 @@ def test_upoly_exp_needs_zero_constant():
 
 
 def test_upoly_mul_truncates_degree():
-    u1 = UPoly([SPoly.zero(4), SPoly.one(4)])
+    u1 = UPoly([SPoly.zero(4), spoly_one(4)])
     assert (u1 * u1)[1].is_zero()  # u^2 truncated away at degree cap 1
-    wide = UPoly([SPoly.zero(4), SPoly.one(4), SPoly.zero(4)])
+    wide = UPoly([SPoly.zero(4), spoly_one(4), SPoly.zero(4)])
     assert (wide * wide)[2].is_one()
 
 
@@ -142,7 +146,7 @@ def test_zseries_log_needs_unit_constant():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(spolys, min_size=1, max_size=3))
 def test_exp_log_round_trip(tail):
-    H = ZSeries([SPoly.one(CAP)] + tail[:])
+    H = ZSeries([spoly_one(CAP)] + tail[:])
     assert zseries_exp(zseries_log(H)) == H
     S = ZSeries([SPoly.zero(CAP)] + tail[:])
     assert zseries_log(zseries_exp(S)) == S
@@ -152,10 +156,10 @@ def test_exp_log_round_trip(tail):
 @given(st.lists(spolys, min_size=1, max_size=3), st.lists(spolys, min_size=1, max_size=3))
 def test_log_of_product_is_sum_of_logs(ta, tb):
     n = min(len(ta), len(tb))
-    A = ZSeries([SPoly.one(CAP)] + ta[:n])
-    B = ZSeries([SPoly.one(CAP)] + tb[:n])
+    A = ZSeries([spoly_one(CAP)] + ta[:n])
+    B = ZSeries([spoly_one(CAP)] + tb[:n])
     AB = zseries_mul(A, B)
-    assert zseries_log(AB) == zseries_log(A) + zseries_log(B)
+    assert zseries_log(AB) == zseries_add(zseries_log(A), zseries_log(B))
 
 
 def test_euler_square_operator():

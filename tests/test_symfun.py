@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +9,9 @@ from kummer_chern.polyring import Q, SPoly
 from kummer_chern.symfun import (
     ChernTable,
     chern_from_power_integrals,
-    elementary_in_power_basis,
-    elementary_product_in_power_basis,
     evaluate_genus,
     format_chern_key,
     genus_log_coefficients,
-    parse_chern_key,
     power_in_elementary_basis,
     power_integrals_from_chern,
     power_integrals_from_genus_poly,
@@ -22,8 +19,12 @@ from kummer_chern.symfun import (
 )
 
 from oracles import (
+    elementary_in_power_basis,
+    elementary_product_in_power_basis,
     expand_elementary_product,
     expand_power_product,
+    parse_chern_key,
+    refines,
     scalar_exp,
     scalar_mul,
     surface_product_chern_table,
@@ -59,6 +60,17 @@ def test_elementary_products():
 def test_power_in_elementary_basis():
     assert dict(power_in_elementary_basis(1)) == {(1,): 1}
     assert dict(power_in_elementary_basis(2)) == {(1, 1): 1, (2,): -2}
+
+
+def test_power_rows_are_refinement_triangular_with_integer_entries():
+    # what the back-substitution in chern_from_power_integrals relies on
+    for d in range(17):
+        for lam in enumerate_partitions(d):
+            row = power_product_in_elementary_basis(lam)
+            for mu, c in row.items():
+                assert type(c) is int, (lam, mu, c)
+                assert mu == lam or (len(mu) > len(lam) and refines(mu, lam)), (lam, mu)
+            assert row[lam] == prod((-1) ** (part - 1) * part for part in lam), lam
 
 
 def test_chern_from_power_integrals_on_surfaces():
@@ -124,10 +136,18 @@ def test_conversion_round_trip_through_tables():
 def test_transition_agrees_with_explicit_polynomials_up_to_degree_8():
     nvars = 8
     for d in range(1, 9):
+        for lam in enumerate_partitions(d):
+            assembled: dict = {}
+            for mu, c in power_product_in_elementary_basis(lam).items():
+                for expo, v in expand_elementary_product(mu, nvars).items():
+                    assembled[expo] = assembled.get(expo, 0) + c * v
+            assembled = {e: v for e, v in assembled.items() if v}
+            assert assembled == expand_power_product(lam, nvars), lam
+        # the oracle's inverse rows, e_mu in the power-sum basis
         for mu in enumerate_partitions(d):
             combo = elementary_product_in_power_basis(mu)
             direct = expand_elementary_product(mu, nvars)
-            assembled: dict = {}
+            assembled = {}
             for lam, c in combo.items():
                 frac = Fraction(int(c.numerator), int(c.denominator))
                 for expo, v in expand_power_product(lam, nvars).items():
