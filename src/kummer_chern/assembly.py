@@ -29,8 +29,8 @@ d^3/ds1^3 L_n vanishes (the quadratic law of the twist).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import perm
+from typing import NamedTuple
 
 from .localization import SurfaceModel, hilbert_genus
 from .partitions import Partition
@@ -134,20 +134,20 @@ def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
     return zseries_euler_sq(ZSeries(second)).scale(Q(1, model.c1sq))
 
 
-@dataclass(frozen=True)
-class KummerResult:
+class KummerResult(NamedTuple):
     """Chern numbers of the 2(n-1)-dimensional Kummer-family member.
 
-    ``chern`` keeps only the partitions into even parts; entries with an
-    odd part are identically zero (the manifold is holomorphic symplectic)
-    and are checked, then dropped.  ``advisories`` reports positivity or
-    divisibility surprises for n > 8 where they are conjectural.
+    An immutable record that compares by value.  ``chern`` keeps only the
+    partitions into even parts; entries with an odd part are identically
+    zero (the manifold is holomorphic symplectic) and are checked, then
+    dropped.  ``advisories`` reports positivity or divisibility surprises
+    for n > 8 where they are conjectural; it defaults to none.
     """
 
     n: int
     dimension: int
     chern: ChernTable
-    advisories: tuple[str, ...] = field(default=())
+    advisories: tuple[str, ...] = ()
 
 
 def _validate_kummer_table(n: int, table: ChernTable) -> KummerResult:

@@ -25,18 +25,11 @@ coefficient integrates, everything below must cancel across fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import add
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .partitions import (
-    Partition,
-    cell_hooks,
-    enumerate_partitions,
-    multipartitions,
-    sym_factor,
-)
+from .partitions import Partition, enumerate_partitions, multipartitions, sym_factor
 from .polyring import Q, SPoly
 
 
@@ -48,9 +41,12 @@ class VanishingCheckError(Exception):
     """A below-top-degree localization sum failed to cancel."""
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """A toric surface with integer chart weights and its Chern invariants."""
+class SurfaceModel(NamedTuple):
+    """A toric surface with integer chart weights and its Chern invariants.
+
+    An immutable record that compares and hashes by value, so a model can
+    key the per-model caches.
+    """
 
     name: str
     charts: tuple[tuple[int, int], ...]
@@ -150,26 +146,37 @@ def fixed_points(model: SurfaceModel, k: int) -> list[FixedPoint]:
 
 
 def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
-    """The 2|lam| tangent weights of the punctual piece in one chart."""
+    """The 2|lam| tangent weights of the punctual piece in one chart.
+
+    Cells are visited row by row; the cell (r, c) has arm lam[r] - c - 1
+    and leg cols[c] - r - 1, where cols[c] is the length of column c.
+    """
     v1, v2 = chart
     if v1 == 0 or v2 == 0:
         raise GenericityError("chart weights must be nonzero")
+    cols = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
     out = []
-    for cell in cell_hooks(lam):
-        w1 = (cell.arm + 1) * v1 - cell.leg * v2
-        w2 = -cell.arm * v1 + (cell.leg + 1) * v2
-        if w1 == 0 or w2 == 0:
-            raise GenericityError(
-                f"zero tangent weight at cell {cell} of {lam} in chart {chart}"
-            )
-        out.append(w1)
-        out.append(w2)
+    for r, part in enumerate(lam):
+        for c in range(part):
+            arm = part - c - 1
+            leg = cols[c] - r - 1
+            w1 = (arm + 1) * v1 - leg * v2
+            w2 = -arm * v1 + (leg + 1) * v2
+            if w1 == 0 or w2 == 0:
+                raise GenericityError(
+                    f"zero tangent weight at cell (row {r}, col {c}, arm {arm}, "
+                    f"leg {leg}) of {lam} in chart {chart}"
+                )
+            out.append(w1)
+            out.append(w2)
     return out
 
 
-@dataclass(frozen=True)
-class TangentData:
-    """Tangent weights at one fixed point with their derived quantities."""
+class TangentData(NamedTuple):
+    """Tangent weights at one fixed point with their derived quantities.
+
+    An immutable record; ``_replace`` makes a modified copy.
+    """
 
     weights: tuple[int, ...]
     euler_product: int
@@ -192,9 +199,8 @@ def tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
     return TangentData(tuple(ws), euler, tuple(sums))
 
 
-@dataclass(frozen=True)
-class LocalizedSums:
-    """Fixed-point sums for the Hilbert scheme of k points.
+class LocalizedSums(NamedTuple):
+    """Fixed-point sums for the Hilbert scheme of k points (an immutable record).
 
     table[d] is the sum over all fixed points of P_d / euler_product for
     d <= 2k, where P_d is the weight-d part of exp(sum_j s_j q_j).  Entries
@@ -217,8 +223,10 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
 
         N(lam) = sum over fixed points of (D / euler_product) * q_lam .
 
-    Each point adds one integer per partition of size <= 2k; every entry is
-    then built by one exact division per partition.
+    Each point adds one integer per partition of size <= 2k.  An entry with
+    d < 2k vanishes exactly when all its numerators are zero, so the
+    below-top check reads the integers; only the top entry is built, by one
+    exact division per partition.
     """
     two_k = 2 * k
     # descending order makes mu[1:] a partition that comes earlier in the list
@@ -234,19 +242,23 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
         for j, parent in steps:
             values.append(q[j] * values[parent])
         numerators = list(map(add, numerators, values))
-    table = {}
-    for d in range(two_k + 1):
+
+    def entry(d: int) -> SPoly:
         terms = {
             lam: Q(numerators[index[lam]], D * sym_factor(lam))
             for lam in enumerate_partitions(d)
         }
-        poly = SPoly(two_k, terms)
-        if d < two_k and not poly.is_zero():
+        return SPoly(two_k, terms)
+
+    table = {}
+    for d in range(two_k):
+        if any(numerators[index[lam]] for lam in enumerate_partitions(d)):
             raise VanishingCheckError(
                 f"below-top localization sum (degree {d}) for k={k} on "
-                f"{model.name}{model.weights} is {poly}"
+                f"{model.name}{model.weights} is {entry(d)}"
             )
-        table[d] = poly
+        table[d] = SPoly.zero(two_k)
+    table[two_k] = entry(two_k)
     return LocalizedSums(k, two_k, table)
 
 

@@ -1,8 +1,7 @@
-"""Integer partitions and Young-diagram cell statistics.
+"""Integer partitions and tuples of partitions.
 
 A partition is a tuple of weakly decreasing positive integers (English
-notation); the empty tuple is the unique partition of 0.  Cell (row, col)
-is the col-th box of the row-th part, both 0-based.
+notation); the empty tuple is the unique partition of 0.
 """
 
 from __future__ import annotations
@@ -10,18 +9,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 Partition = tuple[int, ...]
-
-
-class CellHook(NamedTuple):
-    """A diagram cell with its arm (boxes to the right) and leg (boxes below)."""
-
-    row: int
-    col: int
-    arm: int
-    leg: int
 
 
 @lru_cache(maxsize=None)
@@ -42,18 +32,6 @@ def enumerate_partitions(k: int) -> tuple[Partition, ...]:
                 yield (first,) + tail
 
     return tuple(gen(k, k))
-
-
-def cell_hooks(lam: Partition) -> list[CellHook]:
-    """One entry per cell: arm = boxes strictly right, leg = boxes strictly below."""
-    hooks = []
-    rows = len(lam)
-    for r, part in enumerate(lam):
-        for c in range(part):
-            arm = part - c - 1
-            leg = sum(1 for rr in range(r + 1, rows) if lam[rr] > c)
-            hooks.append(CellHook(r, c, arm, leg))
-    return hooks
 
 
 def _compositions(k: int, c: int) -> Iterator[tuple[int, ...]]:

@@ -34,7 +34,6 @@ on a d-fold with power-sum integrals P_lam = integral of p_lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from typing import Mapping, Sequence
@@ -87,21 +86,31 @@ def power_product_in_elementary_basis(lam: Partition) -> Combo:
     )
 
 
-@dataclass(frozen=True)
 class ChernTable:
     """All Chern numbers of one manifold of (even) complex dimension ``degree``.
 
     numbers maps each partition mu of the degree to the integral of
     c_{mu_1} c_{mu_2} ...; a genuine compact complex manifold gives integers.
+    Every key is checked to be a partition of the degree at construction.
+    Two tables are equal when their degrees and numbers are.
     """
 
-    degree: int
-    numbers: Mapping[Partition, object]
+    __slots__ = ("degree", "numbers")
 
-    def __post_init__(self):
-        for mu in self.numbers:
-            if sum(mu) != self.degree:
-                raise ValueError(f"{mu} is not a partition of {self.degree}")
+    def __init__(self, degree: int, numbers: Mapping[Partition, object]):
+        for mu in numbers:
+            if sum(mu) != degree:
+                raise ValueError(f"{mu} is not a partition of {degree}")
+        self.degree = degree
+        self.numbers = numbers
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.numbers) == (other.degree, other.numbers)
+
+    def __repr__(self) -> str:
+        return f"ChernTable(degree={self.degree!r}, numbers={self.numbers!r})"
 
     def __getitem__(self, mu) -> object:
         """Value for a partition of the degree; omitted entries are 0."""

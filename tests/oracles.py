@@ -2,12 +2,13 @@
 
 Everything here is deliberately written against different definitions than
 the library: partitions by ascending composition, counting through the
-divisor-sum recurrence, tangent weights through explicit module maps,
-symmetric functions as honest polynomials in a finite set of variables,
-the localized class of each fixed point as a literal truncated exponential,
-the exponential of a scalar series as the sum of its powers, and the
-elementary symmetric functions in the power-sum basis by their closed form,
-the inverse of the library's one transition matrix.
+divisor-sum recurrence, cell legs by scanning the rows below, tangent
+weights through explicit module maps, symmetric functions as honest
+polynomials in a finite set of variables, the localized class of each
+fixed point as a literal truncated exponential, the exponential of a scalar
+series as the sum of its powers, and the elementary symmetric functions in
+the power-sum basis by their closed form, the inverse of the library's one
+transition matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from kummer_chern.localization import (
     FixedPoint,
@@ -56,6 +57,30 @@ def conjugate(lam: Partition) -> Partition:
         for c in range(part):
             cols[c] += 1
     return tuple(cols)
+
+
+class CellHook(NamedTuple):
+    """A diagram cell with its arm (boxes to the right) and leg (boxes below)."""
+
+    row: int
+    col: int
+    arm: int
+    leg: int
+
+
+def cell_hooks(lam: Partition) -> list[CellHook]:
+    """One entry per cell, row by row.
+
+    arm = boxes strictly right, leg = boxes strictly below.
+    """
+    hooks = []
+    rows = len(lam)
+    for r, part in enumerate(lam):
+        for c in range(part):
+            arm = part - c - 1
+            leg = sum(1 for rr in range(r + 1, rows) if lam[rr] > c)
+            hooks.append(CellHook(r, c, arm, leg))
+    return hooks
 
 
 def refines(mu: Partition, lam: Partition) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from kummer_chern import localization
 from kummer_chern.assembly import (
     HomogeneityError,
+    KummerResult,
     QuadraticCheckError,
     TableValidationError,
     _assemble_kummer_series,
@@ -17,7 +18,12 @@ from kummer_chern.assembly import (
     kummer_chern_numbers,
     kummer_genus_series,
 )
-from kummer_chern.localization import find_generic_model, hilbert_genus, localized_sums
+from kummer_chern.localization import (
+    build_surface_model,
+    find_generic_model,
+    hilbert_genus,
+    localized_sums,
+)
 from kummer_chern.polyring import Q, SPoly, ZSeries
 from kummer_chern.symfun import ChernTable
 
@@ -207,3 +213,17 @@ def test_hilbert_chern_numbers(p2):
     assert all(isinstance(v, int) for v in two.numbers.values())
     zero = hilbert_chern_numbers(p2, 0)
     assert dict(zero.numbers) == {(): 1}
+
+
+def test_public_records_compare_by_value():
+    model = build_surface_model("p2", 1, 13)
+    again = build_surface_model("p2", 1, 13)
+    assert model == again and hash(model) == hash(again) and len({model, again}) == 1
+    assert model != build_surface_model("p2", 1, 14)
+    table = ChernTable(2, {(2,): 24})
+    assert table == ChernTable(2, {(2,): 24}) and table != ChernTable(2, {(2,): 25})
+    with pytest.raises(ValueError, match="not a partition of 2"):
+        ChernTable(2, {(3,): 1})
+    result = KummerResult(2, 2, table)
+    assert result.advisories == ()
+    assert result == KummerResult(2, 2, ChernTable(2, {(2,): 24}), ())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,20 @@ def test_output_is_deterministic_across_runs(capsys):
         _, out, _ = run(capsys, "compute", "--n-max", "3", "--format", "json")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh process; that import chain costs about 13 ms
+    src = str(Path(cli.__file__).parents[1])
+    probe = (
+        "import sys; import kummer_chern.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -17,6 +17,7 @@ from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.polyring import Q, SPoly
 
 from oracles import (
+    cell_hooks,
     colored_partition_counts,
     fixed_point_contribution,
     hom_tangent_weights,
@@ -54,8 +55,21 @@ def test_tangent_weights_examples():
 
 def test_tangent_weights_zero_weight_raises():
     # cell (0,0) of [2,1] has arm 1, leg 1: weight 2*1 - 1*2 = 0
-    with pytest.raises(GenericityError):
+    with pytest.raises(GenericityError, match=r"row 0, col 0, arm 1, leg 1"):
         tangent_weights((1, 2), (2, 1))
+
+
+def test_tangent_weights_match_the_cell_hook_oracle():
+    # column lengths give the same legs, in the same cell order, as scanning rows
+    charts = [(1, 73), (-1, 72), (-73, -72), (2, -91), (-3, 5), (7, 11)]
+    for k in range(9):
+        for lam in enumerate_partitions(k):
+            for v1, v2 in charts:
+                expected = []
+                for cell in cell_hooks(lam):
+                    expected.append((cell.arm + 1) * v1 - cell.leg * v2)
+                    expected.append(-cell.arm * v1 + (cell.leg + 1) * v2)
+                assert tangent_weights((v1, v2), lam) == expected, (v1, v2, lam)
 
 
 def test_tangent_weights_match_module_hom_oracle():
@@ -72,8 +86,6 @@ def test_transposed_convention_would_fail_the_oracle():
     # arm on v2 instead of v1 gives a different multiset already for [2]
     v1, v2 = 1, 5
     transposed = []
-    from kummer_chern.partitions import cell_hooks
-
     for cell in cell_hooks((2,)):
         transposed.append((cell.arm + 1) * v2 - cell.leg * v1)
         transposed.append(-cell.arm * v2 + (cell.leg + 1) * v1)
@@ -154,8 +166,6 @@ def test_vanishing_holds_in_the_shared_table():
 
 
 def test_vanishing_check_fires_on_a_corrupted_point(monkeypatch):
-    import dataclasses
-
     import kummer_chern.localization as localization
 
     original = localization.tangent_data
@@ -166,7 +176,7 @@ def test_vanishing_check_fires_on_a_corrupted_point(monkeypatch):
         calls.append(None)
         if len(calls) != 1:  # the first fixed point only
             return data
-        return dataclasses.replace(data, euler_product=2 * data.euler_product)
+        return data._replace(euler_product=2 * data.euler_product)
 
     monkeypatch.setattr(localization, "tangent_data", corrupting_data)
     m = find_generic_model("p2", 2)

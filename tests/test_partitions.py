@@ -1,14 +1,18 @@
 import pytest
 
 from kummer_chern.partitions import (
-    cell_hooks,
     enumerate_partitions,
     multipartitions,
     multiplicities,
     sym_factor,
 )
 
-from oracles import colored_partition_counts, conjugate, partitions_ascending
+from oracles import (
+    cell_hooks,
+    colored_partition_counts,
+    conjugate,
+    partitions_ascending,
+)
 
 
 def test_partitions_of_zero_and_three():
