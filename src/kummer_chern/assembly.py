@@ -57,16 +57,13 @@ class QuadraticCheckError(Exception):
 
 
 def hilbert_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
-    """The untwisted series H(0) through z^n_max, at weight cap 2 n_max.
+    """The untwisted series H(0) through z^n_max.
 
     Its z^k coefficient is the genus of the Hilbert scheme of k points,
-    homogeneous of weight 2k, lifted from cap 2k to the common cap 2 n_max.
-    The twisted series H(t) is H(0) with s1 shifted by t.
+    homogeneous of weight 2k.  The twisted series H(t) is H(0) with s1
+    shifted by t.
     """
-    cap = 2 * n_max
-    return ZSeries(
-        SPoly(cap, hilbert_genus(model, k).terms) for k in range(n_max + 1)
-    )
+    return ZSeries(hilbert_genus(model, k) for k in range(n_max + 1))
 
 
 # the one per-model store: the longest Kummer series assembled so far
@@ -77,16 +74,13 @@ def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
     """Universal genus of the Kummer family through z^n_max.
 
     The z^n coefficient is homogeneous of weight 2(n-1) (the member has
-    complex dimension 2(n-1)), so the series is capped at weight
-    2(n_max - 1); H(0) and its logarithm are built at cap 2 n_max, which
-    holds every one of their coefficients whole.
+    complex dimension 2(n-1)).
 
     The longest series assembled for each model is kept.  A request with
-    n_max at most its order is served by slicing it and lowering the cap to
-    2(n_max - 1): every kept coefficient is homogeneous of a weight within
-    that cap, so the slice equals the series assembled directly, and the
-    higher cap only ran more of the vanishing, homogeneity and quadratic
-    checks.
+    n_max at most its order is served by slicing it: the z^n coefficient
+    does not depend on the order the series was assembled to, so the slice
+    equals the series assembled directly, and the longer assembly only ran
+    more of the vanishing, homogeneity and quadratic checks.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -95,12 +89,11 @@ def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
         longest = _assembled[model] = _assemble_kummer_series(model, n_max)
     if longest.order == n_max:
         return longest
-    cap = 2 * (n_max - 1)
-    return ZSeries([SPoly(cap, c.terms) for c in longest.coeffs[: n_max + 1]])
+    return ZSeries(longest.coeffs[: n_max + 1])
 
 
-def _s1_derivative(poly: SPoly, r: int, cap: int) -> SPoly:
-    """The r-th derivative of poly in s1, truncated at weight cap.
+def _s1_derivative(poly: SPoly, r: int) -> SPoly:
+    """The r-th derivative of poly in s1.
 
     A monomial's 1s are its trailing entries, so s1^e * rest becomes
     perm(e, r) * s1^(e-r) * rest.
@@ -110,12 +103,11 @@ def _s1_derivative(poly: SPoly, r: int, cap: int) -> SPoly:
         e = mono.count(1)
         if e >= r:
             terms[mono[: len(mono) - r]] = c * perm(e, r)
-    return SPoly(cap, terms)
+    return SPoly(terms)
 
 
 def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
     log_h = zseries_log(hilbert_genus_series(model, n_max))
-    cap = 2 * (n_max - 1)
     second = []
     for n, coeff in enumerate(log_h.coeffs):
         residue = coeff.off_weight_part(2 * n)
@@ -124,13 +116,13 @@ def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
                 f"z^{n} coefficient of ln H(0) has off-weight part {residue} "
                 f"(expected pure weight {2 * n})"
             )
-        cubic = _s1_derivative(coeff, 3, coeff.cap)
+        cubic = _s1_derivative(coeff, 3)
         if not cubic.is_zero():
             raise QuadraticCheckError(
                 f"z^{n} coefficient of ln H(0) has third s1-derivative {cubic}, "
                 "so ln H(t) is not quadratic in the twist"
             )
-        second.append(_s1_derivative(coeff, 2, cap))
+        second.append(_s1_derivative(coeff, 2))
     return zseries_euler_sq(ZSeries(second)).scale(Q(1, model.c1sq))
 
 

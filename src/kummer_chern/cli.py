@@ -122,8 +122,8 @@ def _emit(args, text: str, code: int = EXIT_OK) -> int:
 
 def _kummer_results(model: SurfaceModel, n_max: int) -> list[KummerResult]:
     # Assemble through n_max first: every smaller n is then sliced from this
-    # series without localizing again, since its z^n coefficient has weight
-    # 2(n-1).  Asking for n = 2, 3, ... first would re-localize at each cap.
+    # series without localizing again.  Asking for n = 2, 3, ... first would
+    # localize and take the logarithm again for each longer series.
     kummer_genus_series(model, n_max)
     ns = [1] if n_max == 1 else range(2, n_max + 1)
     return [kummer_chern_numbers(model, n) for n in ns]

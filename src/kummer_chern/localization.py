@@ -205,7 +205,8 @@ class LocalizedSums(NamedTuple):
     table[d] is the sum over all fixed points of P_d / euler_product for
     d <= 2k, where P_d is the weight-d part of exp(sum_j s_j q_j).  Entries
     with d < 2k vanish identically (checked at construction time), and
-    table[2k] is the genus, homogeneous of weight 2k = weight_cap.
+    table[2k] is the genus, homogeneous of weight 2k.  weight_cap is always
+    2k; it is kept only because perfbench/spans.table_stats reads it.
     """
 
     k: int
@@ -248,7 +249,7 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
             lam: Q(numerators[index[lam]], D * sym_factor(lam))
             for lam in enumerate_partitions(d)
         }
-        return SPoly(two_k, terms)
+        return SPoly(terms)
 
     table = {}
     for d in range(two_k):
@@ -257,7 +258,7 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
                 f"below-top localization sum (degree {d}) for k={k} on "
                 f"{model.name}{model.weights} is {entry(d)}"
             )
-        table[d] = SPoly.zero(two_k)
+        table[d] = SPoly()
     table[two_k] = entry(two_k)
     return LocalizedSums(k, two_k, table)
 

@@ -1,10 +1,11 @@
-"""Exact arithmetic kernel: truncated graded polynomials and series.
+"""Exact arithmetic kernel: sparse graded polynomials and series.
 
 Two layers, both with exact rational coefficients:
 
 * ``SPoly`` -- a sparse polynomial in formal variables s1, s2, ... where
-  s_j carries weight j.  Every SPoly has a weight cap W; terms of weight
-  above W are discarded by construction, so products are truncated exactly.
+  s_j carries weight j.  Nothing is truncated: the genus of a 2k-fold is
+  homogeneous of weight 2k, and every product the pipeline forms from such
+  genera is homogeneous too, so there are no terms to discard.
 * ``ZSeries`` -- a truncated power series in z with SPoly coefficients.
 
 Coefficients use gmpy2.mpq when available and fall back to the standard
@@ -28,35 +29,45 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(a + b, reverse=True))
 
 
+def combo_mul(a: Mapping, b: Mapping) -> dict[Monomial, object]:
+    """Product of two sparse combinations keyed by descending tuples.
+
+    The one sparse product: SPoly terms and the symmetric-function bases
+    (keyed by partitions) both multiply by merging keys.  Zero
+    coefficients are dropped.
+    """
+    out: dict[Monomial, object] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = monomial_mul(ma, mb)
+            c = ca * cb
+            old = out.get(key)
+            out[key] = c if old is None else old + c
+    return {k: v for k, v in out.items() if v}
+
+
+def _wrap(terms: dict[Monomial, object]) -> "SPoly":
+    # an SPoly around a dict already free of zero coefficients, not copied
+    out = SPoly.__new__(SPoly)
+    out.terms = terms
+    return out
+
+
 class SPoly:
-    """Sparse polynomial in s1, s2, ... truncated at a fixed total weight.
+    """Sparse polynomial in s1, s2, ... with exact coefficients.
 
     Terms are stored as a dict mapping descending subscript tuples to
     nonzero rational coefficients; (2, 1, 1) means s2*s1^2 and has weight 4.
     """
 
-    __slots__ = ("cap", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, cap: int, terms: Mapping[Monomial, object] | None = None):
-        if cap < 0:
-            raise ValueError("weight cap must be nonnegative")
-        self.cap = cap
-        clean: dict[Monomial, object] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c and sum(mono) <= cap:
-                    clean[mono] = c
-        self.terms = clean
-
-    # -- constructors -----------------------------------------------------
+    def __init__(self, terms: Mapping[Monomial, object] | None = None):
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def zero(cls, cap: int) -> "SPoly":
-        return cls(cap)
-
-    @classmethod
-    def constant(cls, value, cap: int) -> "SPoly":
-        return cls(cap, {(): value})
+    def constant(cls, value) -> "SPoly":
+        return cls({(): value})
 
     # -- queries -----------------------------------------------------------
 
@@ -70,18 +81,13 @@ class SPoly:
         return len(self.terms) == 1 and self.terms.get((), 0) == 1
 
     def off_weight_part(self, w: int) -> "SPoly":
-        return SPoly(self.cap, {m: c for m, c in self.terms.items() if sum(m) != w})
+        return _wrap({m: c for m, c in self.terms.items() if sum(m) != w})
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_cap(self, other: "SPoly") -> None:
-        if self.cap != other.cap:
-            raise ValueError(f"weight cap mismatch: {self.cap} != {other.cap}")
-
     def __add__(self, other):
         if not isinstance(other, SPoly):
-            return self + SPoly.constant(other, self.cap)
-        self._check_cap(other)
+            other = SPoly.constant(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             acc = terms.get(mono)
@@ -93,69 +99,41 @@ class SPoly:
                     terms[mono] = acc
                 else:
                     del terms[mono]
-        out = SPoly.__new__(SPoly)
-        out.cap = self.cap
-        out.terms = terms
-        return out
+        return _wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = SPoly.__new__(SPoly)
-        out.cap = self.cap
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SPoly):
-            other = SPoly.constant(other, self.cap)
+            other = SPoly.constant(other)
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, SPoly):
             return self.scale(other)
-        self._check_cap(other)
-        cap = self.cap
-        # bucket by weight so pairs over the cap are never formed
-        mine = _weight_buckets(self.terms)
-        theirs = _weight_buckets(other.terms)
-        acc: dict[Monomial, object] = {}
-        for w1, items1 in mine.items():
-            for w2, items2 in theirs.items():
-                if w1 + w2 > cap:
-                    continue
-                for m1, c1 in items1:
-                    for m2, c2 in items2:
-                        key = monomial_mul(m1, m2)
-                        c = c1 * c2
-                        old = acc.get(key)
-                        if old is None:
-                            acc[key] = c
-                        else:
-                            acc[key] = old + c
-        return SPoly(cap, acc)
+        return _wrap(combo_mul(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "SPoly":
         if not c:
-            return SPoly.zero(self.cap)
-        out = SPoly.__new__(SPoly)
-        out.cap = self.cap
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
+            return SPoly()
+        return _wrap({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, SPoly):
-            return self.cap == other.cap and self.terms == other.terms
+            return self.terms == other.terms
         # scalar comparison
         if not self.terms:
             return other == 0
         return len(self.terms) == 1 and self.terms.get((), 0) == other
 
     def __repr__(self):
-        return f"SPoly(cap={self.cap}, {self!s})"
+        return f"SPoly({self!s})"
 
     def __str__(self):
         if not self.terms:
@@ -180,13 +158,6 @@ class SPoly:
         return " + ".join(bits)
 
 
-def _weight_buckets(terms: Mapping[Monomial, object]):
-    buckets: dict[int, list] = {}
-    for mono, c in terms.items():
-        buckets.setdefault(sum(mono), []).append((mono, c))
-    return buckets
-
-
 class ZSeries:
     """Truncated power series in z with SPoly coefficients."""
 
@@ -196,21 +167,14 @@ class ZSeries:
         self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("ZSeries needs at least the z^0 coefficient")
-        cap = self.coeffs[0].cap
-        if any(c.cap != cap for c in self.coeffs):
-            raise ValueError("mixed weight caps in ZSeries")
 
     @classmethod
-    def from_scalars(cls, values: Iterable[object], weight_cap: int) -> "ZSeries":
-        return cls([SPoly.constant(v, weight_cap) for v in values])
+    def from_scalars(cls, values: Iterable[object]) -> "ZSeries":
+        return cls([SPoly.constant(v) for v in values])
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def weight_cap(self) -> int:
-        return self.coeffs[0].cap
 
     def __getitem__(self, n: int) -> SPoly:
         return self.coeffs[n]
@@ -234,8 +198,8 @@ def zseries_log(H: ZSeries) -> ZSeries:
     """
     if not H.coeffs[0].is_one():
         raise ValueError("log needs constant coefficient 1")
-    N, W = H.order, H.weight_cap
-    L = [SPoly.zero(W)]
+    N = H.order
+    L = [SPoly()]
     for n in range(1, N + 1):
         acc = H.coeffs[n]
         for j in range(1, n):

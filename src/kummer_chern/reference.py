@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
 
 from .partitions import Partition
 
@@ -15,6 +14,9 @@ EXPECTED_COUNTS = {2: 1, 3: 2, 4: 3, 5: 5, 6: 7, 7: 11, 8: 15}
 
 
 def _resource_bytes() -> bytes:
+    # imported here so that only the commands reading the table load it
+    from importlib import resources
+
     return (
         resources.files("kummer_chern") / "data" / "kummer_chern_numbers.json"
     ).read_bytes()

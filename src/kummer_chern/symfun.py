@@ -39,21 +39,10 @@ from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions, sym_factor
-from .polyring import Q, SPoly, ZSeries, monomial_mul, zseries_log
+from .polyring import Q, SPoly, ZSeries, combo_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
-
-
-def combo_mul(a: Mapping, b: Mapping) -> Combo:
-    out: Combo = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            key = monomial_mul(la, lb)
-            c = ca * cb
-            old = out.get(key)
-            out[key] = c if old is None else old + c
-    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +185,7 @@ def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
 
 def _log_coefficients(a: list) -> list:
     # log of the scalar series a (a[0] == 1), coefficients from x^1 on
-    log = zseries_log(ZSeries.from_scalars(a, 0))
+    log = zseries_log(ZSeries.from_scalars(a))
     return [Q(c.coefficient(())) for c in log.coeffs[1:]]
 
 

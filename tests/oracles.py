@@ -26,8 +26,8 @@ from kummer_chern.localization import (
     tangent_data,
 )
 from kummer_chern.partitions import Partition, enumerate_partitions, sym_factor
-from kummer_chern.polyring import Monomial, Q, SPoly, ZSeries
-from kummer_chern.symfun import Combo, combo_mul
+from kummer_chern.polyring import Monomial, Q, SPoly, ZSeries, combo_mul
+from kummer_chern.symfun import Combo
 
 
 # -- partitions --------------------------------------------------------------
@@ -257,28 +257,18 @@ class UPoly:
         self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("UPoly needs at least the u^0 coefficient")
-        cap = self.coeffs[0].cap
-        if any(c.cap != cap for c in self.coeffs):
-            raise ValueError("mixed weight caps in UPoly")
 
     @classmethod
-    def zero(cls, degree_cap: int, weight_cap: int) -> "UPoly":
-        return cls([SPoly.zero(weight_cap)] * (degree_cap + 1))
+    def zero(cls, degree_cap: int) -> "UPoly":
+        return cls([SPoly()] * (degree_cap + 1))
 
     @classmethod
-    def one(cls, degree_cap: int, weight_cap: int) -> "UPoly":
-        return cls(
-            [spoly_one(weight_cap)]
-            + [SPoly.zero(weight_cap)] * degree_cap
-        )
+    def one(cls, degree_cap: int) -> "UPoly":
+        return cls([spoly_one()] + [SPoly()] * degree_cap)
 
     @property
     def degree_cap(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def weight_cap(self) -> int:
-        return self.coeffs[0].cap
 
     def __getitem__(self, d: int) -> SPoly:
         return self.coeffs[d]
@@ -293,8 +283,8 @@ class UPoly:
             return UPoly([c * other for c in self.coeffs])
         if self.degree_cap != other.degree_cap:
             raise ValueError("degree cap mismatch")
-        D, W = self.degree_cap, self.weight_cap
-        out = [SPoly.zero(W) for _ in range(D + 1)]
+        D = self.degree_cap
+        out = [SPoly() for _ in range(D + 1)]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
@@ -320,17 +310,17 @@ class UPoly:
 
 
 def upoly_exp(E: UPoly) -> UPoly:
-    """exp of a UPoly with vanishing u^0 part, truncated at both caps.
+    """exp of a UPoly with vanishing u^0 part, truncated at its degree cap.
 
     Uses the derivative recurrence d*P_d = sum_j j*E_j*P_{d-j}, which is
     exact on truncated polynomials.
     """
     if not E.coeffs[0].is_zero():
         raise ValueError("exp needs a vanishing constant term")
-    D, W = E.degree_cap, E.weight_cap
-    P = [spoly_one(W)]
+    D = E.degree_cap
+    P = [spoly_one()]
     for d in range(1, D + 1):
-        acc = SPoly.zero(W)
+        acc = SPoly()
         for j in range(1, d + 1):
             Ej = E.coeffs[j]
             if Ej.is_zero():
@@ -340,19 +330,17 @@ def upoly_exp(E: UPoly) -> UPoly:
     return UPoly(P)
 
 
-def fixed_point_contribution(
-    model: SurfaceModel, point: FixedPoint, t: int, weight_cap: int
-) -> UPoly:
+def fixed_point_contribution(model: SurfaceModel, point: FixedPoint, t: int) -> UPoly:
     """The localized genus class of one fixed point, over its Euler class.
 
     Returns exp(sum_j (s_j + t*[j==1]) q_j u^j) / euler_product, truncated
-    at u-degree 2k and the weight cap.
+    at u-degree 2k.
     """
     data = tangent_data(model, point)
     two_k = len(data.weights)
-    E = [SPoly.zero(weight_cap)]
+    E = [SPoly()]
     for j in range(1, two_k + 1):
-        coeff = spoly_variable(j, weight_cap)
+        coeff = spoly_variable(j)
         if j == 1 and t:
             coeff = coeff + t
         E.append(coeff.scale(data.power_sums[j - 1]))
@@ -365,9 +353,9 @@ def localized_twisted_sums(model: SurfaceModel, k: int, t: int) -> UPoly:
     Degrees below 2k cancel; degree 2k is the genus twisted by t.
     """
     W = 2 * k
-    total = [SPoly.zero(W) for _ in range(W + 1)]
+    total = [SPoly() for _ in range(W + 1)]
     for fp in fixed_points(model, k):
-        c = fixed_point_contribution(model, fp, t, W)
+        c = fixed_point_contribution(model, fp, t)
         for d in range(W + 1):
             total[d] = total[d] + c[d]
     return UPoly(total)
@@ -376,23 +364,23 @@ def localized_twisted_sums(model: SurfaceModel, k: int, t: int) -> UPoly:
 # -- polynomial and z-series arithmetic that only the tests need --------------
 
 
-def spoly_one(cap: int) -> SPoly:
-    return SPoly.constant(1, cap)
+def spoly_one() -> SPoly:
+    return SPoly.constant(1)
 
 
-def spoly_variable(j: int, cap: int) -> SPoly:
-    """The generator s_j (zero if its weight j exceeds the cap)."""
+def spoly_variable(j: int) -> SPoly:
+    """The generator s_j."""
     if j < 1:
         raise ValueError("variable subscripts start at 1")
-    return SPoly(cap, {(j,): 1})
+    return SPoly({(j,): 1})
 
 
 def spoly_div(p: SPoly, c) -> SPoly:
     return p.scale(Q(1, c) if isinstance(c, int) else 1 / c)
 
 
-def zseries_one(order: int, weight_cap: int) -> ZSeries:
-    return ZSeries([spoly_one(weight_cap)] + [SPoly.zero(weight_cap)] * order)
+def zseries_one(order: int) -> ZSeries:
+    return ZSeries([spoly_one()] + [SPoly()] * order)
 
 
 def _check_orders(A: ZSeries, B: ZSeries) -> None:
@@ -408,8 +396,8 @@ def zseries_add(A: ZSeries, B: ZSeries) -> ZSeries:
 def zseries_mul(A: ZSeries, B: ZSeries) -> ZSeries:
     """Product of two series of the same order, truncated at that order."""
     _check_orders(A, B)
-    N, W = A.order, A.weight_cap
-    out = [SPoly.zero(W) for _ in range(N + 1)]
+    N = A.order
+    out = [SPoly() for _ in range(N + 1)]
     for i, a in enumerate(A.coeffs):
         if a.is_zero():
             continue
@@ -426,10 +414,10 @@ def zseries_exp(S: ZSeries) -> ZSeries:
     """Formal exponential of a series with vanishing constant coefficient."""
     if not S.coeffs[0].is_zero():
         raise ValueError("exp needs a vanishing constant term")
-    N, W = S.order, S.weight_cap
-    E = [spoly_one(W)]
+    N = S.order
+    E = [spoly_one()]
     for n in range(1, N + 1):
-        acc = SPoly.zero(W)
+        acc = SPoly()
         for j in range(1, n + 1):
             Sj = S.coeffs[j]
             if Sj.is_zero():

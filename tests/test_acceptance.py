@@ -154,7 +154,7 @@ def test_criterion_6_property_suites(p2_model, p1xp1_model, kummer_results_p2):
     # (g) quadratic twist dependence: d^3/ds1^3 ln H(0) vanishes through z^8
     log_h = zseries_log(hilbert_genus_series(p2_model, 8))
     for n, coeff in enumerate(log_h.coeffs):
-        assert _s1_derivative(coeff, 3, coeff.cap).is_zero(), n
+        assert _s1_derivative(coeff, 3).is_zero(), n
 
     _report(6, "vanishing, homogeneity, integrality, odd-part zeros, "
                "positivity, n^3 divisibility, fixed-point counts, "

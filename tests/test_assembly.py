@@ -38,7 +38,7 @@ def p2():
 def test_hilbert_genus_series_order_one(p2):
     series = hilbert_genus_series(p2, 1)
     assert series[0].is_one()
-    assert series[1] == SPoly(2, {(1, 1): Q(9, 2), (2,): 3})
+    assert series[1] == SPoly({(1, 1): Q(9, 2), (2,): 3})
 
 
 def test_hilbert_genus_series_order_zero(p2):
@@ -54,7 +54,7 @@ def test_hilbert_series_z2_coefficient_is_homogeneous(p2):
 def test_kummer_series_small_coefficients(p2):
     series = kummer_genus_series(p2, 3)
     assert series[1].is_one()
-    assert series[2] == SPoly(4, {(2,): -48})
+    assert series[2] == SPoly({(2,): -48})
 
 
 def test_kummer_chern_numbers_small(p2):
@@ -109,7 +109,7 @@ def test_closed_form_oracles_reject_corrupted_inputs(p2):
     _check_todd_genus(3, genus)
     _check_euler_number(3, table)
     with pytest.raises(TableValidationError, match="Todd genus"):
-        _check_todd_genus(3, genus + SPoly(4, {(4,): 1}))
+        _check_todd_genus(3, genus + SPoly({(4,): 1}))
     with pytest.raises(TableValidationError, match="sigma_1"):
         _check_euler_number(3, ChernTable(4, {(4,): Q(109), (2, 2): Q(756)}))
 
@@ -142,16 +142,19 @@ def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):
     import kummer_chern.assembly as assembly
 
     original = assembly.zseries_log
+    # weight 0 below the z^2 weight 4, and s1^8 above every weight that
+    # H(0) reaches at n_max = 3 (6): the check must see both
+    for corruption in (SPoly.constant(1), SPoly({(1,) * 8: 1})):
 
-    def corrupting_log(series):
-        out = original(series)
-        coeffs = list(out.coeffs)
-        coeffs[2] = coeffs[2] + SPoly.constant(1, out.weight_cap)
-        return ZSeries(coeffs)
+        def corrupting_log(series, corruption=corruption):
+            out = original(series)
+            coeffs = list(out.coeffs)
+            coeffs[2] = coeffs[2] + corruption
+            return ZSeries(coeffs)
 
-    monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
-    with pytest.raises(HomogeneityError, match="off-weight"):
-        _assemble_kummer_series(p2, 3)
+        monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
+        with pytest.raises(HomogeneityError, match="off-weight"):
+            _assemble_kummer_series(p2, 3)
 
 
 def test_quadratic_check_fires_on_a_cubic_s1_term(p2, monkeypatch):
@@ -163,7 +166,7 @@ def test_quadratic_check_fires_on_a_cubic_s1_term(p2, monkeypatch):
         out = original(series)
         coeffs = list(out.coeffs)
         # s1^4 has weight 4, so the homogeneity check passes it
-        coeffs[2] = coeffs[2] + SPoly(out.weight_cap, {(1, 1, 1, 1): 1})
+        coeffs[2] = coeffs[2] + SPoly({(1, 1, 1, 1): 1})
         return ZSeries(coeffs)
 
     monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
@@ -177,14 +180,14 @@ def test_twisted_genus_is_the_s1_shift_of_the_untwisted_one():
     for name, depth in (("p2", 5), ("p1xp1", 4)):
         model = find_generic_model(name, depth)
         for k in range(depth + 1):
-            cap = 2 * k
+            two_k = 2 * k
             untwisted = hilbert_genus(model, k)
-            derivatives = [_s1_derivative(untwisted, m, cap) for m in range(cap + 1)]
+            derivatives = [_s1_derivative(untwisted, m) for m in range(two_k + 1)]
             for t in range(-2, 3):
-                shifted = SPoly.zero(cap)
+                shifted = SPoly()
                 for m, derivative in enumerate(derivatives):
                     shifted = shifted + derivative.scale(Q(t**m, factorial(m)))
-                assert localized_twisted_sums(model, k, t)[cap] == shifted, (name, k, t)
+                assert localized_twisted_sums(model, k, t)[two_k] == shifted, (name, k, t)
 
 
 def test_surface_independence_small():

@@ -23,8 +23,6 @@ from oracles import (
     zseries_one,
 )
 
-CAP = 5
-
 rationals = st.builds(
     Q, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
 )
@@ -32,12 +30,10 @@ monomials = st.lists(
     st.integers(min_value=1, max_value=4), min_size=0, max_size=3
 ).map(lambda parts: tuple(sorted(parts, reverse=True)))
 spolys = st.dictionaries(monomials, rationals, max_size=5).map(
-    lambda terms: SPoly(CAP, terms)
+    lambda terms: SPoly(terms)
 )
 
-
-def s(j, cap=CAP):
-    return spoly_variable(j, cap)
+s = spoly_variable
 
 
 def test_monomial_helpers():
@@ -47,18 +43,11 @@ def test_monomial_helpers():
     assert monomial_insert((), 4) == (4,)
 
 
-def test_mul_truncates_at_cap():
-    one_plus = spoly_one(2) + s(1, 2)
-    assert one_plus * one_plus == SPoly(2, {(): 1, (1,): 2, (1, 1): 1})
-    assert (s(1, 2) * s(2, 2)).is_zero()  # weight 3 > cap 2
-    assert s(2, 4).scale(3) * s(2, 4).scale(5) == SPoly(4, {(2, 2): 15})
-
-
-def test_cap_mismatch_is_an_error():
-    with pytest.raises(ValueError):
-        s(1, 2) * s(1, 3)
-    with pytest.raises(ValueError):
-        s(1, 2) + s(1, 3)
+def test_mul_merges_monomials():
+    one_plus = spoly_one() + s(1)
+    assert one_plus * one_plus == SPoly({(): 1, (1,): 2, (1, 1): 1})
+    assert s(1) * s(2) == SPoly({(2, 1): 1})
+    assert s(2).scale(3) * s(2).scale(5) == SPoly({(2, 2): 15})
 
 
 def test_scalar_arithmetic_and_division():
@@ -70,8 +59,8 @@ def test_scalar_arithmetic_and_division():
 
 
 def test_weight_parts():
-    p = SPoly(4, {(): 7, (1,): 1, (2, 1): Q(1, 3), (4,): 2})
-    assert p.off_weight_part(3) == SPoly(4, {(): 7, (1,): 1, (4,): 2})
+    p = SPoly({(): 7, (1,): 1, (2, 1): Q(1, 3), (4,): 2})
+    assert p.off_weight_part(3) == SPoly({(): 7, (1,): 1, (4,): 2})
     assert not p.off_weight_part(4).is_zero()
     assert (s(2) * s(2)).off_weight_part(4).is_zero()
 
@@ -86,69 +75,69 @@ def test_ring_axioms(a, b, c):
 
 
 def test_upoly_exp_single_variable():
-    E = UPoly([SPoly.zero(2), s(1, 2).scale(3), SPoly.zero(2)])
+    E = UPoly([SPoly(), s(1).scale(3), SPoly()])
     expected = UPoly(
-        [spoly_one(2), s(1, 2).scale(3), SPoly(2, {(1, 1): Q(9, 2)})]
+        [spoly_one(), s(1).scale(3), SPoly({(1, 1): Q(9, 2)})]
     )
     assert upoly_exp(E) == expected
 
 
 def test_upoly_exp_zero_is_one():
-    assert upoly_exp(UPoly.zero(3, 4)) == UPoly.one(3, 4)
+    assert upoly_exp(UPoly.zero(3)) == UPoly.one(3)
 
 
 def test_upoly_exp_two_terms():
     # exp(3 s1 u + 5 s2 u^2) to second order, frozen from the hand expansion
-    E = UPoly([SPoly.zero(4), s(1, 4).scale(3), s(2, 4).scale(5)])
+    E = UPoly([SPoly(), s(1).scale(3), s(2).scale(5)])
     result = upoly_exp(E)
     assert result[0].is_one()
-    assert result[1] == s(1, 4).scale(3)
-    assert result[2] == SPoly(4, {(1, 1): Q(9, 2), (2,): 5})
+    assert result[1] == s(1).scale(3)
+    assert result[2] == SPoly({(1, 1): Q(9, 2), (2,): 5})
 
 
 def test_upoly_exp_needs_zero_constant():
     with pytest.raises(ValueError):
-        upoly_exp(UPoly.one(2, 2))
+        upoly_exp(UPoly.one(2))
 
 
 def test_upoly_mul_truncates_degree():
-    u1 = UPoly([SPoly.zero(4), spoly_one(4)])
+    u1 = UPoly([SPoly(), spoly_one()])
     assert (u1 * u1)[1].is_zero()  # u^2 truncated away at degree cap 1
-    wide = UPoly([SPoly.zero(4), spoly_one(4), SPoly.zero(4)])
+    wide = UPoly([SPoly(), spoly_one(), SPoly()])
     assert (wide * wide)[2].is_one()
 
 
 @settings(max_examples=40, deadline=None)
 @given(spolys, spolys)
 def test_exp_of_sum_is_product_of_exps(a, b):
-    za = UPoly([SPoly.zero(CAP), a, SPoly.zero(CAP)])
-    zb = UPoly([SPoly.zero(CAP), b, SPoly.zero(CAP)])
+    za = UPoly([SPoly(), a, SPoly()])
+    zb = UPoly([SPoly(), b, SPoly()])
     assert upoly_exp(za + zb) == upoly_exp(za) * upoly_exp(zb)
 
 
 def test_zseries_log_scalar_geometric():
-    H = ZSeries.from_scalars([1, Q(3), 0, 0], 0)
+    H = ZSeries.from_scalars([1, Q(3), 0, 0])
     L = zseries_log(H)
     a = Q(3)
     assert [c.coefficient(()) for c in L.coeffs] == [0, a, -(a * a) / 2, a**3 / 3]
 
 
 def test_zseries_log_of_one_is_zero():
-    H = zseries_one(3, 2)
+    H = zseries_one(3)
     assert all(c.is_zero() for c in zseries_log(H).coeffs)
 
 
 def test_zseries_log_needs_unit_constant():
     with pytest.raises(ValueError):
-        zseries_log(ZSeries.from_scalars([2, 1], 1))
+        zseries_log(ZSeries.from_scalars([2, 1]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(spolys, min_size=1, max_size=3))
 def test_exp_log_round_trip(tail):
-    H = ZSeries([spoly_one(CAP)] + tail[:])
+    H = ZSeries([spoly_one()] + tail[:])
     assert zseries_exp(zseries_log(H)) == H
-    S = ZSeries([SPoly.zero(CAP)] + tail[:])
+    S = ZSeries([SPoly()] + tail[:])
     assert zseries_log(zseries_exp(S)) == S
 
 
@@ -156,24 +145,24 @@ def test_exp_log_round_trip(tail):
 @given(st.lists(spolys, min_size=1, max_size=3), st.lists(spolys, min_size=1, max_size=3))
 def test_log_of_product_is_sum_of_logs(ta, tb):
     n = min(len(ta), len(tb))
-    A = ZSeries([spoly_one(CAP)] + ta[:n])
-    B = ZSeries([spoly_one(CAP)] + tb[:n])
+    A = ZSeries([spoly_one()] + ta[:n])
+    B = ZSeries([spoly_one()] + tb[:n])
     AB = zseries_mul(A, B)
     assert zseries_log(AB) == zseries_add(zseries_log(A), zseries_log(B))
 
 
 def test_euler_square_operator():
-    H = ZSeries.from_scalars([5, 1, 0, 1], 0)
+    H = ZSeries.from_scalars([5, 1, 0, 1])
     out = zseries_euler_sq(H)
     assert [c.coefficient(()) for c in out.coeffs] == [0, 1, 0, 9]
 
 
 def test_addition_is_order_independent():
-    polys = [SPoly(CAP, {(j,): Q(1, j + 1)}) for j in range(1, 5)]
-    forward = SPoly.zero(CAP)
+    polys = [SPoly({(j,): Q(1, j + 1)}) for j in range(1, 5)]
+    forward = SPoly()
     for p in polys:
         forward = forward + p
-    backward = SPoly.zero(CAP)
+    backward = SPoly()
     for p in reversed(polys):
         backward = backward + p
     assert forward == backward

@@ -237,10 +237,10 @@ def test_genus_multiplicative_on_products_of_surfaces():
 
 
 def test_extraction_from_genus_polynomial():
-    g = SPoly(2, {(2,): Q(-48)})
+    g = SPoly({(2,): Q(-48)})
     P = power_integrals_from_genus_poly(g, 2)
     assert P == {(2,): -48, (1, 1): 0}
-    g = SPoly(2, {(1, 1): Q(9, 2), (2,): Q(3)})
+    g = SPoly({(1, 1): Q(9, 2), (2,): Q(3)})
     P = power_integrals_from_genus_poly(g, 2)
     assert P[(1, 1)] == 9 and P[(2,)] == 3
 
