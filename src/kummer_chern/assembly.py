@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .localization import SurfaceModel, hilbert_genus
 from .partitions import Partition
-from .polyring import Q, SPoly, ZSeries, zseries_euler_sq, zseries_log
+from .polyring import Q, SPoly, zseries_euler_sq, zseries_log
 from .symfun import (
     ChernTable,
     chern_from_power_integrals,
@@ -56,22 +56,24 @@ class QuadraticCheckError(Exception):
     """The log series failed to be quadratic in the twist."""
 
 
-def hilbert_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
-    """The untwisted series H(0) through z^n_max.
+def hilbert_genus_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
+    """The untwisted series H(0) through z^n_max, as its coefficient tuple.
 
     Its z^k coefficient is the genus of the Hilbert scheme of k points,
     homogeneous of weight 2k.  The twisted series H(t) is H(0) with s1
     shifted by t.
     """
-    return ZSeries(hilbert_genus(model, k) for k in range(n_max + 1))
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    return tuple(hilbert_genus(model, k) for k in range(n_max + 1))
 
 
 # the one per-model store: the longest Kummer series assembled so far
-_assembled: dict[SurfaceModel, ZSeries] = {}
+_assembled: dict[SurfaceModel, tuple[SPoly, ...]] = {}
 
 
-def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
-    """Universal genus of the Kummer family through z^n_max.
+def kummer_genus_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
+    """Universal genus of the Kummer family through z^n_max, as a tuple.
 
     The z^n coefficient is homogeneous of weight 2(n-1) (the member has
     complex dimension 2(n-1)).
@@ -85,11 +87,9 @@ def kummer_genus_series(model: SurfaceModel, n_max: int) -> ZSeries:
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     longest = _assembled.get(model)
-    if longest is None or longest.order < n_max:
+    if longest is None or len(longest) <= n_max:
         longest = _assembled[model] = _assemble_kummer_series(model, n_max)
-    if longest.order == n_max:
-        return longest
-    return ZSeries(longest.coeffs[: n_max + 1])
+    return longest[: n_max + 1]
 
 
 def _s1_derivative(poly: SPoly, r: int) -> SPoly:
@@ -106,10 +106,11 @@ def _s1_derivative(poly: SPoly, r: int) -> SPoly:
     return SPoly(terms)
 
 
-def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
+def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
     log_h = zseries_log(hilbert_genus_series(model, n_max))
+    inv_c1sq = Q(1, model.c1sq)
     second = []
-    for n, coeff in enumerate(log_h.coeffs):
+    for n, coeff in enumerate(log_h):
         residue = coeff.off_weight_part(2 * n)
         if not residue.is_zero():
             raise HomogeneityError(
@@ -122,8 +123,8 @@ def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> ZSeries:
                 f"z^{n} coefficient of ln H(0) has third s1-derivative {cubic}, "
                 "so ln H(t) is not quadratic in the twist"
             )
-        second.append(_s1_derivative(coeff, 2))
-    return zseries_euler_sq(ZSeries(second)).scale(Q(1, model.c1sq))
+        second.append(_s1_derivative(coeff, 2).scale(inv_c1sq))
+    return zseries_euler_sq(tuple(second))
 
 
 class KummerResult(NamedTuple):

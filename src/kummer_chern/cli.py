@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid configuration
 (including an --out file that cannot be written), 3 genericity failure
-(the torus-parameter schedule was exhausted or the explicitly requested
-weights are degenerate).
+(the explicitly requested weights are degenerate).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--weights",
             type=_parse_weights,
             default=None,
-            help="explicit torus parameters A,B (no retry schedule)",
+            help="explicit torus parameters A,B",
         )
         if with_format:
             p.add_argument(

@@ -34,7 +34,7 @@ from .polyring import Q, SPoly
 
 
 class GenericityError(Exception):
-    """A chart or tangent weight vanished; retry with other torus parameters."""
+    """A chart or tangent weight vanished at the given torus parameters."""
 
 
 class VanishingCheckError(Exception):
@@ -56,9 +56,6 @@ class SurfaceModel(NamedTuple):
 
 
 SURFACE_NAMES = ("p2", "p1xp1")
-
-# torus parameters tried by the default schedule before giving up
-MAX_TRIES = 64
 
 
 def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
@@ -103,7 +100,18 @@ def is_generic(model: SurfaceModel, depth: int) -> bool:
 
 
 def default_weights(depth: int) -> tuple[int, int]:
-    return (1, depth * depth + depth + 1)
+    """Torus parameters (1, b) with b = d^2 + d + 1, d = max(depth, 1).
+
+    They are generic on both surfaces by construction.  The chart weights
+    are +-1, +-b and +-(b - 1), nonzero since b >= 3.  A tangent weight
+    vanishes only if (arm + 1) * v1 = leg * v2 or (leg + 1) * v2 = arm * v1
+    with arm + leg <= depth - 1.  Neither can hold where v1 and v2 differ
+    in sign.  In the other charts, (1, b) and (b, b - 1) up to sign, either
+    makes one of arm, arm + 1, leg, leg + 1 a positive multiple of b (which
+    is prime to b - 1), but each is at most d < b.
+    """
+    d = max(depth, 1)
+    return (1, d * d + d + 1)
 
 
 def find_generic_model(
@@ -113,27 +121,18 @@ def find_generic_model(
 ) -> SurfaceModel:
     """Build a model generic up to Hilbert depth ``depth``.
 
-    Explicit weights are used as given and must pass; otherwise the
-    deterministic schedule starts at (1, depth^2 + depth + 1) and
-    increments b until the genericity precheck passes.
+    Explicit weights are used as given and must pass the genericity
+    precheck; without them the model uses ``default_weights(depth)``,
+    which always pass.
     """
-    if weights is not None:
-        model = build_surface_model(name, *weights)
-        if not is_generic(model, depth):
-            raise GenericityError(
-                f"weights {weights} are degenerate for {name} at depth {depth}"
-            )
-        return model
-    a, b = default_weights(depth)
-    for _ in range(MAX_TRIES):
-        try:
-            model = build_surface_model(name, a, b)
-            if is_generic(model, depth):
-                return model
-        except GenericityError:
-            pass
-        b += 1
-    raise GenericityError(f"no generic parameters found for {name} at depth {depth}")
+    if weights is None:
+        weights = default_weights(depth)
+    model = build_surface_model(name, *weights)
+    if not is_generic(model, depth):
+        raise GenericityError(
+            f"weights {weights} are degenerate for {name} at depth {depth}"
+        )
+    return model
 
 
 # a torus-fixed subscheme: one partition per chart

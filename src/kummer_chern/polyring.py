@@ -1,12 +1,12 @@
-"""Exact arithmetic kernel: sparse graded polynomials and series.
+"""Exact arithmetic kernel: sparse graded polynomials and series of them.
 
-Two layers, both with exact rational coefficients:
+``SPoly`` is a sparse polynomial in formal variables s1, s2, ... where s_j
+carries weight j.  Nothing is truncated: the genus of a 2k-fold is
+homogeneous of weight 2k, and every product the pipeline forms from such
+genera is homogeneous too, so there are no terms to discard.
 
-* ``SPoly`` -- a sparse polynomial in formal variables s1, s2, ... where
-  s_j carries weight j.  Nothing is truncated: the genus of a 2k-fold is
-  homogeneous of weight 2k, and every product the pipeline forms from such
-  genera is homogeneous too, so there are no terms to discard.
-* ``ZSeries`` -- a truncated power series in z with SPoly coefficients.
+A truncated power series in z is the plain tuple of its SPoly
+coefficients, z^0 first; its order is its length minus one.
 
 Coefficients use gmpy2.mpq when available and fall back to the standard
 library's Fraction.  Both are exact; results are identical.
@@ -14,7 +14,7 @@ library's Fraction.  Both are exact; results are identical.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 try:  # pragma: no cover - exercised implicitly by the whole suite
     from gmpy2 import mpq as Q
@@ -86,8 +86,6 @@ class SPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, SPoly):
-            other = SPoly.constant(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             acc = terms.get(mono)
@@ -101,23 +99,14 @@ class SPoly:
                     del terms[mono]
         return _wrap(terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, SPoly):
-            other = SPoly.constant(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, SPoly):
-            return self.scale(other)
         return _wrap(combo_mul(self.terms, other.terms))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "SPoly":
         if not c:
@@ -125,12 +114,7 @@ class SPoly:
         return _wrap({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, SPoly):
-            return self.terms == other.terms
-        # scalar comparison
-        if not self.terms:
-            return other == 0
-        return len(self.terms) == 1 and self.terms.get((), 0) == other
+        return isinstance(other, SPoly) and self.terms == other.terms
 
     def __repr__(self):
         return f"SPoly({self!s})"
@@ -158,56 +142,23 @@ class SPoly:
         return " + ".join(bits)
 
 
-class ZSeries:
-    """Truncated power series in z with SPoly coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[SPoly]):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("ZSeries needs at least the z^0 coefficient")
-
-    @classmethod
-    def from_scalars(cls, values: Iterable[object]) -> "ZSeries":
-        return cls([SPoly.constant(v) for v in values])
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> SPoly:
-        return self.coeffs[n]
-
-    def scale(self, c) -> "ZSeries":
-        return ZSeries([p.scale(c) for p in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, ZSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        body = ", ".join(f"z^{n}: {c}" for n, c in enumerate(self.coeffs))
-        return f"ZSeries({body})"
-
-
-def zseries_log(H: ZSeries) -> ZSeries:
+def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """Formal logarithm of a series with constant coefficient 1.
 
     Same value as sum_{m>=1} (-1)^(m+1) (H-1)^m / m truncated at the order
     of H, computed through the derivative recurrence.
     """
-    if not H.coeffs[0].is_one():
+    if not H[0].is_one():
         raise ValueError("log needs constant coefficient 1")
-    N = H.order
     L = [SPoly()]
-    for n in range(1, N + 1):
-        acc = H.coeffs[n]
+    for n in range(1, len(H)):
+        acc = H[n]
         for j in range(1, n):
-            acc = acc - (L[j] * H.coeffs[n - j]).scale(Q(j, n))
+            acc = acc - (L[j] * H[n - j]).scale(Q(j, n))
         L.append(acc)
-    return ZSeries(L)
+    return tuple(L)
 
 
-def zseries_euler_sq(H: ZSeries) -> ZSeries:
+def zseries_euler_sq(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """Apply (z d/dz)^2: the z^n coefficient is multiplied by n^2."""
-    return ZSeries([c.scale(n * n) for n, c in enumerate(H.coeffs)])
+    return tuple(c.scale(n * n) for n, c in enumerate(H))

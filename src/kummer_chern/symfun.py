@@ -39,7 +39,7 @@ from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions, sym_factor
-from .polyring import Q, SPoly, ZSeries, combo_mul, zseries_log
+from .polyring import Q, SPoly, combo_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
@@ -185,8 +185,8 @@ def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
 
 def _log_coefficients(a: list) -> list:
     # log of the scalar series a (a[0] == 1), coefficients from x^1 on
-    log = zseries_log(ZSeries.from_scalars(a))
-    return [Q(c.coefficient(())) for c in log.coeffs[1:]]
+    log = zseries_log(tuple(SPoly.constant(v) for v in a))
+    return [Q(c.coefficient(())) for c in log[1:]]
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from kummer_chern.localization import (
     tangent_data,
 )
 from kummer_chern.partitions import Partition, enumerate_partitions, sym_factor
-from kummer_chern.polyring import Monomial, Q, SPoly, ZSeries, combo_mul
+from kummer_chern.polyring import Monomial, Q, SPoly, combo_mul
 from kummer_chern.symfun import Combo
 
 
@@ -280,7 +280,7 @@ class UPoly:
 
     def __mul__(self, other):
         if not isinstance(other, UPoly):
-            return UPoly([c * other for c in self.coeffs])
+            return UPoly([c.scale(other) for c in self.coeffs])
         if self.degree_cap != other.degree_cap:
             raise ValueError("degree cap mismatch")
         D = self.degree_cap
@@ -342,7 +342,7 @@ def fixed_point_contribution(model: SurfaceModel, point: FixedPoint, t: int) -> 
     for j in range(1, two_k + 1):
         coeff = spoly_variable(j)
         if j == 1 and t:
-            coeff = coeff + t
+            coeff = coeff + SPoly.constant(t)
         E.append(coeff.scale(data.power_sums[j - 1]))
     return upoly_exp(UPoly(E)).scale(Q(1, data.euler_product))
 
@@ -379,52 +379,52 @@ def spoly_div(p: SPoly, c) -> SPoly:
     return p.scale(Q(1, c) if isinstance(c, int) else 1 / c)
 
 
-def zseries_one(order: int) -> ZSeries:
-    return ZSeries([spoly_one()] + [SPoly()] * order)
+def zseries_one(order: int) -> tuple[SPoly, ...]:
+    return (spoly_one(),) + (SPoly(),) * order
 
 
-def _check_orders(A: ZSeries, B: ZSeries) -> None:
-    if A.order != B.order:
+def _check_orders(A: tuple[SPoly, ...], B: tuple[SPoly, ...]) -> None:
+    if len(A) != len(B):
         raise ValueError("truncation order mismatch")
 
 
-def zseries_add(A: ZSeries, B: ZSeries) -> ZSeries:
+def zseries_add(A: tuple[SPoly, ...], B: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     _check_orders(A, B)
-    return ZSeries([a + b for a, b in zip(A.coeffs, B.coeffs)])
+    return tuple(a + b for a, b in zip(A, B))
 
 
-def zseries_mul(A: ZSeries, B: ZSeries) -> ZSeries:
+def zseries_mul(A: tuple[SPoly, ...], B: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """Product of two series of the same order, truncated at that order."""
     _check_orders(A, B)
-    N = A.order
+    N = len(A) - 1
     out = [SPoly() for _ in range(N + 1)]
-    for i, a in enumerate(A.coeffs):
+    for i, a in enumerate(A):
         if a.is_zero():
             continue
-        for j, b in enumerate(B.coeffs):
+        for j, b in enumerate(B):
             if i + j > N:
                 break
             if b.is_zero():
                 continue
             out[i + j] = out[i + j] + a * b
-    return ZSeries(out)
+    return tuple(out)
 
 
-def zseries_exp(S: ZSeries) -> ZSeries:
+def zseries_exp(S: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """Formal exponential of a series with vanishing constant coefficient."""
-    if not S.coeffs[0].is_zero():
+    if not S[0].is_zero():
         raise ValueError("exp needs a vanishing constant term")
-    N = S.order
+    N = len(S) - 1
     E = [spoly_one()]
     for n in range(1, N + 1):
         acc = SPoly()
         for j in range(1, n + 1):
-            Sj = S.coeffs[j]
+            Sj = S[j]
             if Sj.is_zero():
                 continue
             acc = acc + (Sj * E[n - j]).scale(j)
         E.append(acc.scale(Q(1, n)))
-    return ZSeries(E)
+    return tuple(E)
 
 
 # -- scalar power series in x, as Fraction lists ------------------------------

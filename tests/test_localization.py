@@ -1,6 +1,7 @@
 import pytest
 
 from kummer_chern.localization import (
+    SURFACE_NAMES,
     GenericityError,
     VanishingCheckError,
     build_surface_model,
@@ -98,6 +99,10 @@ def test_genericity_precheck_and_schedule():
     assert not is_generic(m, 3)  # [2,1] produces a zero weight in chart 0
     assert default_weights(8) == (1, 73)
     assert find_generic_model("p2", 8).weights == (1, 73)
+    # the defaults pass on the first try at every depth, depth 0 included
+    for name in SURFACE_NAMES:
+        for d in range(31):
+            assert find_generic_model(name, d).weights == default_weights(d)
     with pytest.raises(GenericityError):
         find_generic_model("p2", 3, weights=(1, 2))
     assert find_generic_model("p2", 3, weights=(1, 5)).weights == (1, 5)

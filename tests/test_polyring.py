@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from kummer_chern.polyring import (
     Q,
     SPoly,
-    ZSeries,
     monomial_mul,
     zseries_euler_sq,
     zseries_log,
@@ -51,11 +50,11 @@ def test_mul_merges_monomials():
 
 
 def test_scalar_arithmetic_and_division():
-    p = s(1) + 2
+    p = s(1) + SPoly.constant(2)
     assert p.coefficient(()) == 2
-    assert (p - 2) == s(1)
+    assert (p - SPoly.constant(2)) == s(1)
     assert spoly_div(s(2).scale(6), 3) == s(2).scale(2)
-    assert s(1).scale(Q(1, 2)) * 2 == s(1)
+    assert s(1).scale(Q(1, 2)).scale(2) == s(1)
 
 
 def test_weight_parts():
@@ -116,28 +115,28 @@ def test_exp_of_sum_is_product_of_exps(a, b):
 
 
 def test_zseries_log_scalar_geometric():
-    H = ZSeries.from_scalars([1, Q(3), 0, 0])
+    H = tuple(SPoly.constant(x) for x in [1, Q(3), 0, 0])
     L = zseries_log(H)
     a = Q(3)
-    assert [c.coefficient(()) for c in L.coeffs] == [0, a, -(a * a) / 2, a**3 / 3]
+    assert [c.coefficient(()) for c in L] == [0, a, -(a * a) / 2, a**3 / 3]
 
 
 def test_zseries_log_of_one_is_zero():
     H = zseries_one(3)
-    assert all(c.is_zero() for c in zseries_log(H).coeffs)
+    assert all(c.is_zero() for c in zseries_log(H))
 
 
 def test_zseries_log_needs_unit_constant():
     with pytest.raises(ValueError):
-        zseries_log(ZSeries.from_scalars([2, 1]))
+        zseries_log(tuple(SPoly.constant(x) for x in [2, 1]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(spolys, min_size=1, max_size=3))
 def test_exp_log_round_trip(tail):
-    H = ZSeries([spoly_one()] + tail[:])
+    H = (spoly_one(), *tail)
     assert zseries_exp(zseries_log(H)) == H
-    S = ZSeries([SPoly()] + tail[:])
+    S = (SPoly(), *tail)
     assert zseries_log(zseries_exp(S)) == S
 
 
@@ -145,16 +144,16 @@ def test_exp_log_round_trip(tail):
 @given(st.lists(spolys, min_size=1, max_size=3), st.lists(spolys, min_size=1, max_size=3))
 def test_log_of_product_is_sum_of_logs(ta, tb):
     n = min(len(ta), len(tb))
-    A = ZSeries([spoly_one()] + ta[:n])
-    B = ZSeries([spoly_one()] + tb[:n])
+    A = (spoly_one(), *ta[:n])
+    B = (spoly_one(), *tb[:n])
     AB = zseries_mul(A, B)
     assert zseries_log(AB) == zseries_add(zseries_log(A), zseries_log(B))
 
 
 def test_euler_square_operator():
-    H = ZSeries.from_scalars([5, 1, 0, 1])
+    H = tuple(SPoly.constant(x) for x in [5, 1, 0, 1])
     out = zseries_euler_sq(H)
-    assert [c.coefficient(()) for c in out.coeffs] == [0, 1, 0, 9]
+    assert [c.coefficient(()) for c in out] == [0, 1, 0, 9]
 
 
 def test_addition_is_order_independent():
