@@ -25,8 +25,8 @@ coefficient integrates, everything below must cancel across fixed points.
 
 from __future__ import annotations
 
-from math import lcm
-from operator import add
+from math import lcm, prod
+from operator import add, mul
 from typing import Mapping, NamedTuple
 
 from .partitions import Partition, enumerate_partitions, multipartitions, sym_factor
@@ -174,7 +174,9 @@ def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
 class TangentData(NamedTuple):
     """Tangent weights at one fixed point with their derived quantities.
 
-    An immutable record; ``_replace`` makes a modified copy.
+    An immutable record; ``_replace`` makes a modified copy.  The same
+    record holds one chart's piece of a fixed point: the weights of one
+    partition in one chart, with their power sums up to the same 2k.
     """
 
     weights: tuple[int, ...]
@@ -182,20 +184,49 @@ class TangentData(NamedTuple):
     power_sums: tuple[int, ...]  # q_j = sum w_i^j for j = 1..2k
 
 
-def tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
-    ws: list[int] = []
-    for chart, lam in zip(model.charts, point):
-        ws.extend(tangent_weights(chart, lam))
-    euler = 1
-    for w in ws:
-        euler *= w
-    two_k = len(ws)
-    powers = [1] * len(ws)
+# per-chart pieces of the fixed points of one table, keyed by (chart, lam, 2k)
+Pieces = dict[tuple[tuple[int, int], Partition, int], TangentData]
+
+
+def _piece(chart: tuple[int, int], lam: Partition, two_k: int) -> TangentData:
+    ws = tuple(tangent_weights(chart, lam))
+    powers = ws
     sums = []
     for _ in range(two_k):
-        powers = [p * w for p, w in zip(powers, ws)]
         sums.append(sum(powers))
-    return TangentData(tuple(ws), euler, tuple(sums))
+        powers = list(map(mul, powers, ws))
+    return TangentData(ws, prod(ws), tuple(sums))
+
+
+def tangent_data(
+    model: SurfaceModel, point: FixedPoint, *, pieces: Pieces | None = None
+) -> TangentData:
+    """Tangent data at a fixed point of the Hilbert scheme of k points.
+
+    The tangent space is the direct sum of one piece per chart, so the
+    weights concatenate, the Euler products multiply and the power sums
+    q_1..q_2k add.  Each (chart, lam) piece is built once and kept in
+    ``pieces``: the localized_sums call passes the dict it owns for its
+    table, whose points share most pieces.  Without one the pieces are
+    built for this point alone.
+    """
+    if pieces is None:
+        pieces = {}
+    two_k = 2 * sum(map(sum, point))
+    ws = ()
+    euler = 1
+    sums = []
+    for chart, lam in zip(model.charts, point):
+        key = (chart, lam, two_k)
+        piece = pieces.get(key)
+        if piece is None:
+            # built for an empty partition too: a zero chart weight raises
+            piece = pieces[key] = _piece(chart, lam, two_k)
+        if lam:
+            ws += piece.weights
+            euler *= piece.euler_product
+            sums.append(piece.power_sums)
+    return TangentData(ws, euler, tuple(map(sum, zip(*sums))))
 
 
 class LocalizedSums(NamedTuple):
@@ -206,6 +237,9 @@ class LocalizedSums(NamedTuple):
     with d < 2k vanish identically (checked at construction time), and
     table[2k] is the genus, homogeneous of weight 2k.  weight_cap is always
     2k; it is kept only because perfbench/spans.table_stats reads it.
+
+    The per-chart pieces the fixed points were assembled from are owned by
+    the localized_sums call that built the record and are not kept in it.
     """
 
     k: int
@@ -223,6 +257,10 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
 
         N(lam) = sum over fixed points of (D / euler_product) * q_lam .
 
+    The fixed points share their per-chart pieces (see tangent_data).  This
+    call owns the dict that holds them, so each is built once per table and
+    dropped on return.
+
     Each point adds one integer per partition of size <= 2k.  An entry with
     d < 2k vanishes exactly when all its numerators are zero, so the
     below-top check reads the integers; only the top entry is built, by one
@@ -233,7 +271,8 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     mus = [mu for size in range(two_k + 1) for mu in enumerate_partitions(size)]
     index = {mu: i for i, mu in enumerate(mus)}
     steps = [(mu[0] - 1, index[mu[1:]]) for mu in mus[1:]]
-    points = [tangent_data(model, point) for point in fixed_points(model, k)]
+    pieces: Pieces = {}
+    points = [tangent_data(model, point, pieces=pieces) for point in fixed_points(model, k)]
     D = lcm(*(data.euler_product for data in points))
     numerators = [0] * len(mus)
     for data in points:

@@ -21,9 +21,12 @@ Reading the Chern numbers c_mu off the power-sum integrals
 is a triangular solve: the row of lam reads only partitions mu that refine
 lam, and its diagonal entry is prod_i (-1)^(lam_i - 1) lam_i.  Walking the
 partitions from most parts to fewest, each c_lam is one exact division by
-that diagonal.  The solve is carried out over the rationals, so it is the
-exact inverse of the forward product on any rational table; whether a
-table is integral is for its caller to check.
+that diagonal.  Tables of genuine manifolds are integral, so the solve
+runs on integers: an integral P_lam is carried as an int and each division
+that comes out exact stays one.  Only a division with a remainder falls
+back to a rational, so the solve is still the exact inverse of the forward
+product on any rational table; whether a table is integral is for its
+caller to check.
 
 A genus with series f(x) = exp(sum_j l_j x^j) takes the value
 
@@ -122,7 +125,9 @@ def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTa
 
     Solves P_lam = sum_mu M[lam][mu] c_mu on the rows of
     power_product_in_elementary_basis, from most parts to fewest, so every
-    c_mu a row reads is known before the row is reached.
+    c_mu a row reads is known before the row is reached.  An integral P_lam
+    is carried as an int, and c_lam is an int whenever the row's remainder
+    divides exactly by its diagonal; otherwise it is the rational quotient.
     """
     numbers = {}
     for lam in sorted(enumerate_partitions(d), key=len, reverse=True):
@@ -130,20 +135,29 @@ def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTa
             total = P[lam]
         except KeyError:
             raise KeyError(f"power integral for {lam} missing") from None
+        if total.denominator == 1:
+            total = int(total)
         row = power_product_in_elementary_basis(lam)
         for mu, c in row.items():
             if mu != lam:
                 total -= c * numbers[mu]
-        numbers[lam] = Q(total) / row[lam]
+        diagonal = row[lam]
+        if type(total) is int and total % diagonal == 0:
+            numbers[lam] = total // diagonal
+        else:
+            numbers[lam] = Q(total, diagonal)
     return ChernTable(d, numbers)
 
 
 def power_integrals_from_chern(table: ChernTable) -> dict[Partition, object]:
-    """Inverse conversion: P_lam from the Chern numbers."""
+    """Inverse conversion: P_lam from the Chern numbers.
+
+    The rows are integral, so an integral table gives int entries.
+    """
     d = table.degree
     out = {}
     for lam in enumerate_partitions(d):
-        total = Q(0)
+        total = 0
         for mu, c in power_product_in_elementary_basis(lam).items():
             total += c * table[mu]
         out[lam] = total
@@ -177,7 +191,7 @@ def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
     if len(ell) < d:
         raise ValueError(f"need {d} log-coefficients, got {len(ell)}")
     P = power_integrals_from_chern(table)
-    return genus_value({lam: P[lam] / sym_factor(lam) for lam in P}, ell)
+    return genus_value({lam: Q(P[lam], sym_factor(lam)) for lam in P}, ell)
 
 
 # -- genus presets ---------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here is deliberately written against different definitions than
 the library: partitions by ascending composition, counting through the
 divisor-sum recurrence, cell legs by scanning the rows below, tangent
-weights through explicit module maps, symmetric functions as honest
+weights through explicit module maps, the tangent data of a fixed point
+from its whole weight list at once, symmetric functions as honest
 polynomials in a finite set of variables, the localized class of each
 fixed point as a literal truncated exponential, the exponential of a scalar
 series as the sum of its powers, and the elementary symmetric functions in
@@ -22,6 +23,7 @@ from typing import Iterable, NamedTuple
 from kummer_chern.localization import (
     FixedPoint,
     SurfaceModel,
+    TangentData,
     fixed_points,
     tangent_data,
 )
@@ -328,6 +330,21 @@ def upoly_exp(E: UPoly) -> UPoly:
             acc = acc + (Ej * P[d - j]).scale(j)
         P.append(acc.scale(Q(1, d)))
     return UPoly(P)
+
+
+def direct_tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
+    """Tangent data of a fixed point from all 2k weights at once.
+
+    The weights come from the cell hooks, chart by chart; the power sums
+    are taken over the whole list, not assembled from per-chart pieces.
+    """
+    ws = []
+    for (v1, v2), lam in zip(model.charts, point):
+        for cell in cell_hooks(lam):
+            ws.append((cell.arm + 1) * v1 - cell.leg * v2)
+            ws.append(-cell.arm * v1 + (cell.leg + 1) * v2)
+    sums = tuple(sum(w**j for w in ws) for j in range(1, len(ws) + 1))
+    return TangentData(tuple(ws), prod(ws), sums)
 
 
 def fixed_point_contribution(model: SurfaceModel, point: FixedPoint, t: int) -> UPoly:

@@ -3,6 +3,7 @@ import pytest
 from kummer_chern.localization import (
     SURFACE_NAMES,
     GenericityError,
+    SurfaceModel,
     VanishingCheckError,
     build_surface_model,
     default_weights,
@@ -20,6 +21,7 @@ from kummer_chern.polyring import Q, SPoly
 from oracles import (
     cell_hooks,
     colored_partition_counts,
+    direct_tangent_data,
     fixed_point_contribution,
     hom_tangent_weights,
     localized_twisted_sums,
@@ -125,6 +127,34 @@ def test_tangent_data_at_a_point():
     assert data.power_sums == (3, 5)
 
 
+def test_tangent_data_from_shared_pieces_matches_direct_computation():
+    # one pieces dict per table, as localized_sums shares it
+    for name, k_max in (("p2", 6), ("p1xp1", 5)):
+        for weights in (None, (3, 7), (-5, 11)):
+            m = find_generic_model(name, k_max, weights=weights)
+            for k in range(k_max + 1):
+                pieces = {}
+                for point in fixed_points(m, k):
+                    shared = tangent_data(m, point, pieces=pieces)
+                    assert shared == tangent_data(m, point), (name, weights, point)
+                    assert shared == direct_tangent_data(m, point), (name, weights, point)
+
+
+def test_zero_tangent_weight_raises_through_the_pieces_path():
+    m = build_surface_model("p2", 1, 2)  # [2,1] in chart 0 has a zero weight
+    pieces = {}
+    for point in fixed_points(m, 2):
+        tangent_data(m, point, pieces=pieces)
+    for _ in range(2):  # a failed piece is not kept
+        with pytest.raises(GenericityError, match="zero tangent weight"):
+            tangent_data(m, ((2, 1), (), ()), pieces=pieces)
+    # a zero chart weight raises even where the chart's partition is empty
+    bad = SurfaceModel("p2", ((1, 2), (0, 1), (-2, -1)), 9, 3, (1, 2))
+    for pieces in (None, {}):
+        with pytest.raises(GenericityError, match="chart weights"):
+            tangent_data(bad, ((1,), (), ()), pieces=pieces)
+
+
 def test_contribution_of_first_chart_point():
     m = build_surface_model("p2", 1, 2)
     fp = fixed_points(m, 1)[0]
@@ -176,8 +206,8 @@ def test_vanishing_check_fires_on_a_corrupted_point(monkeypatch):
     original = localization.tangent_data
     calls = []
 
-    def corrupting_data(model, point):
-        data = original(model, point)
+    def corrupting_data(model, point, **kwargs):
+        data = original(model, point, **kwargs)
         calls.append(None)
         if len(calls) != 1:  # the first fixed point only
             return data

@@ -32,6 +32,8 @@ from oracles import (
 
 P2 = ChernTable(2, {(1, 1): Q(9), (2,): Q(3)})
 K3 = ChernTable(2, {(1, 1): Q(0), (2,): Q(24)})
+P2_INT = ChernTable(2, {(1, 1): 9, (2,): 3})
+K3_INT = ChernTable(2, {(1, 1): 0, (2,): 24})
 
 
 def test_newton_expansions():
@@ -76,6 +78,7 @@ def test_power_rows_are_refinement_triangular_with_integer_entries():
 def test_chern_from_power_integrals_on_surfaces():
     table = chern_from_power_integrals({(1, 1): Q(9), (2,): Q(3)}, 2)
     assert table[(1, 1)] == 9 and table[(2,)] == 3
+    assert all(type(v) is int for v in table.numbers.values())
     table = chern_from_power_integrals({(1, 1): Q(0), (2,): Q(-48)}, 2)
     assert table[(1, 1)] == 0 and table[(2,)] == 24
     assert chern_from_power_integrals({(): Q(1)}, 0)[()] == 1
@@ -94,15 +97,17 @@ def test_power_integrals_from_chern_round_trip_examples():
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=5),
     st.data(),
 )
-def test_conversion_round_trip_random_tables(d, data):
+def test_conversion_round_trip_random_tables(d, max_denominator, data):
+    # integral tables (max_denominator 1) stay on ints; others take the Q fallback
     values = {
         mu: data.draw(
             st.builds(
                 Q,
                 st.integers(min_value=-30, max_value=30),
-                st.integers(min_value=1, max_value=5),
+                st.integers(min_value=1, max_value=max_denominator),
             )
         )
         for mu in enumerate_partitions(d)
@@ -110,6 +115,18 @@ def test_conversion_round_trip_random_tables(d, data):
     table = ChernTable(d, values)
     back = chern_from_power_integrals(power_integrals_from_chern(table), d)
     assert all(back[mu] == table[mu] for mu in values)
+    integral = all(v.denominator == 1 for v in values.values())
+    assert all(type(v) is int for v in back.numbers.values()) == integral
+
+
+def test_integral_tables_convert_on_ints():
+    for d in range(9):
+        keys = enumerate_partitions(d)
+        table = ChernTable(d, {mu: (-1) ** i * (3 * i + 1) for i, mu in enumerate(keys)})
+        P = power_integrals_from_chern(table)
+        assert all(type(v) is int for v in P.values()), d
+        back = chern_from_power_integrals(P, d)
+        assert back == table and all(type(v) is int for v in back.numbers.values()), d
 
 
 def test_conversion_round_trip_is_exact_identity_up_to_degree_16():
@@ -197,6 +214,11 @@ def test_todd_and_euler_and_signature_on_surfaces():
     assert evaluate_genus(P2, todd) == 1
     assert evaluate_genus(P2, euler) == 3
     assert evaluate_genus(P2, sig) == 1
+    # exact on int tables too: dividing int power integrals by / gives floats
+    for table in (K3, P2, K3_INT, P2_INT):
+        for ell in (todd, euler, sig):
+            assert type(evaluate_genus(table, ell)) is type(Q(1))
+    assert evaluate_genus(K3_INT, todd) == 2 and evaluate_genus(P2_INT, sig) == 1
 
 
 def test_genus_of_a_point_is_one():
