@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import perm
 from typing import NamedTuple
 
-from .localization import SurfaceModel, hilbert_genus
+from .localization import CheckError, SurfaceModel, hilbert_genus
 from .partitions import Partition
 from .polyring import Q, SPoly, zseries_euler_sq, zseries_log
 from .symfun import (
@@ -44,15 +44,15 @@ from .symfun import (
 )
 
 
-class HomogeneityError(Exception):
+class HomogeneityError(CheckError):
     """A series coefficient had exact residue outside its expected weight."""
 
 
-class TableValidationError(Exception):
+class TableValidationError(CheckError):
     """A computed Chern table violated a structural requirement."""
 
 
-class QuadraticCheckError(Exception):
+class QuadraticCheckError(CheckError):
     """The log series failed to be quadratic in the twist."""
 
 
@@ -68,7 +68,7 @@ def hilbert_genus_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
     return tuple(hilbert_genus(model, k) for k in range(n_max + 1))
 
 
-# the one per-model store: the longest Kummer series assembled so far
+# the one store: the model assembled last and its longest Kummer series
 _assembled: dict[SurfaceModel, tuple[SPoly, ...]] = {}
 
 
@@ -78,17 +78,21 @@ def kummer_genus_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
     The z^n coefficient is homogeneous of weight 2(n-1) (the member has
     complex dimension 2(n-1)).
 
-    The longest series assembled for each model is kept.  A request with
-    n_max at most its order is served by slicing it: the z^n coefficient
-    does not depend on the order the series was assembled to, so the slice
-    equals the series assembled directly, and the longer assembly only ran
-    more of the vanishing, homogeneity and quadratic checks.
+    The longest series of the model assembled last is kept, and assembling
+    another model drops it, so a process that works through many models
+    holds one series.  A request with n_max at most its order is served by
+    slicing it: the z^n coefficient does not depend on the order the series
+    was assembled to, so the slice equals the series assembled directly,
+    and the longer assembly only ran more of the vanishing, homogeneity and
+    quadratic checks.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     longest = _assembled.get(model)
     if longest is None or len(longest) <= n_max:
-        longest = _assembled[model] = _assemble_kummer_series(model, n_max)
+        longest = _assemble_kummer_series(model, n_max)
+        _assembled.clear()
+        _assembled[model] = longest
     return longest[: n_max + 1]
 
 
@@ -151,7 +155,6 @@ def _validate_kummer_table(n: int, table: ChernTable) -> KummerResult:
         value = table[mu]
         if value.denominator != 1:
             raise TableValidationError(f"n={n}: entry {mu} = {value} is not integral")
-        value = int(value)
         if any(part % 2 for part in mu):
             if value != 0:
                 raise TableValidationError(
@@ -218,9 +221,7 @@ def hilbert_chern_numbers(model: SurfaceModel, k: int) -> ChernTable:
     genus = hilbert_genus(model, k)
     d = 2 * k
     table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
-    for mu in table.sorted_keys():
-        if table[mu].denominator != 1:
-            raise TableValidationError(
-                f"k={k}: entry {mu} = {table[mu]} is not integral"
-            )
-    return ChernTable(d, {mu: int(table[mu]) for mu in table.sorted_keys()})
+    for mu, value in table.numbers.items():
+        if value.denominator != 1:
+            raise TableValidationError(f"k={k}: entry {mu} = {value} is not integral")
+    return table

@@ -1,8 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid configuration
-(including an --out file that cannot be written), 3 genericity failure
-(the explicitly requested weights are degenerate).
+compute, hilbert and genus format their numbers once and render them as a
+table, JSON records or CSV rows.  A compute JSON record carries the n > 8
+"advisories" that its table prints, when there are any.
+
+Exit codes: 0 success, 1 verification mismatch or a failed internal check
+(one "check failed:" line on stderr), 2 invalid configuration (including
+an --out file that cannot be written), 3 genericity failure (the
+explicitly requested weights are degenerate).
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .assembly import (
 )
 from .localization import (
     SURFACE_NAMES,
+    CheckError,
     GenericityError,
-    SurfaceModel,
     find_generic_model,
     fixed_points,
 )
@@ -50,12 +55,6 @@ def _parse_weights(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return a, b
-
-
-def _fmt_value(q) -> str:
-    if getattr(q, "denominator", 1) == 1:
-        return str(int(q))
-    return f"{q.numerator}/{q.denominator}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_for(args, depth: int) -> SurfaceModel:
-    return find_generic_model(args.surface, depth, weights=args.weights)
-
-
-def _emit(args, text: str, code: int = EXIT_OK) -> int:
-    """Write the output and return ``code``, or EXIT_BAD_CONFIG if --out fails."""
-    out = getattr(args, "out", None)
+def _emit(args, records, header, rows, lines, code: int = EXIT_OK) -> int:
+    """Write the --format text; return code, or EXIT_BAD_CONFIG if --out fails."""
+    if args.format == "json":
+        text = render_json(records)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    out = args.out
     if not out:
         sys.stdout.write(text)
         return code
@@ -119,66 +124,46 @@ def _emit(args, text: str, code: int = EXIT_OK) -> int:
     return code
 
 
-def _kummer_results(model: SurfaceModel, n_max: int) -> list[KummerResult]:
-    # Assemble through n_max first: every smaller n is then sliced from this
-    # series without localizing again.  Asking for n = 2, 3, ... first would
-    # localize and take the logarithm again for each longer series.
-    kummer_genus_series(model, n_max)
-    ns = [1] if n_max == 1 else range(2, n_max + 1)
-    return [kummer_chern_numbers(model, n) for n in ns]
-
-
-def _result_record(result: KummerResult, surface: str) -> dict:
-    return {
-        "n": result.n,
-        "dimension": result.dimension,
-        "surface": surface,
-        "chern_numbers": {
-            format_chern_key(mu): _fmt_value(result.chern[mu])
-            for mu in result.chern.sorted_keys()
-        },
-    }
-
-
 def render_json(records: list[dict]) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
-def _render_rows_csv(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("n", "partition_key", "value"))
-    writer.writerows(rows)
-    return buf.getvalue()
+def _chern_strings(table) -> dict[str, str]:
+    """Each Chern number of ``table`` as str ("24", "1/2"), keyed by its monomial."""
+    return {format_chern_key(mu): str(table[mu]) for mu in table.sorted_keys()}
+
+
+def _kummer_results(args) -> list[KummerResult]:
+    model = find_generic_model(args.surface, args.n_max, weights=args.weights)
+    # Assemble through n_max first: every smaller n is then sliced from this
+    # series without localizing again.  Asking for n = 2, 3, ... first would
+    # localize and take the logarithm again for each longer series.
+    kummer_genus_series(model, args.n_max)
+    ns = [1] if args.n_max == 1 else range(2, args.n_max + 1)
+    return [kummer_chern_numbers(model, n) for n in ns]
 
 
 def cmd_compute(args) -> int:
     if args.n_max < 1:
         print("n-max must be at least 1", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    model = _model_for(args, args.n_max)
-    results = _kummer_results(model, args.n_max)
-    if args.format == "json":
-        text = render_json([_result_record(r, args.surface) for r in results])
-    elif args.format == "csv":
-        rows = [
-            (r.n, format_chern_key(mu), _fmt_value(r.chern[mu]))
-            for r in results
-            for mu in r.chern.sorted_keys()
-        ]
-        text = _render_rows_csv(rows)
-    else:
-        lines = []
-        for r in results:
-            lines.append(
-                f"n={r.n}  dimension={r.dimension}  surface={args.surface}"
-            )
-            for mu in r.chern.sorted_keys():
-                lines.append(f"  {format_chern_key(mu)} | {_fmt_value(r.chern[mu])}")
-            for note in r.advisories:
-                lines.append(f"  advisory: {note}")
-        text = "\n".join(lines) + "\n"
-    return _emit(args, text)
+    records, rows, lines = [], [], []
+    for r in _kummer_results(args):
+        numbers = _chern_strings(r.chern)
+        record = {
+            "n": r.n,
+            "dimension": r.dimension,
+            "surface": args.surface,
+            "chern_numbers": numbers,
+        }
+        if r.advisories:
+            record["advisories"] = list(r.advisories)
+        records.append(record)
+        rows.extend((r.n, key, value) for key, value in numbers.items())
+        lines.append(f"n={r.n}  dimension={r.dimension}  surface={args.surface}")
+        lines.extend(f"  {key} | {value}" for key, value in numbers.items())
+        lines.extend(f"  advisory: {note}" for note in r.advisories)
+    return _emit(args, records, ("n", "partition_key", "value"), rows, lines)
 
 
 def cmd_verify(args) -> int:
@@ -188,10 +173,9 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_CONFIG
-    model = _model_for(args, args.n_max)
     matched = total = 0
     diffs: list[str] = []
-    for result in _kummer_results(model, args.n_max):
+    for result in _kummer_results(args):
         if result.n == 1:  # the point; the reference starts at n = 2
             continue
         n, computed = result.n, result.chern
@@ -216,70 +200,45 @@ def cmd_hilbert(args) -> int:
     if args.k < 0:
         print("k must be nonnegative", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    model = _model_for(args, args.k)
+    model = find_generic_model(args.surface, args.k, weights=args.weights)
     table = hilbert_chern_numbers(model, args.k)
     count = len(fixed_points(model, args.k))
     expected_count = _euler_series_coefficient(model.c2, args.k)
-    top = table.top()
-    euler_ok = top == count == expected_count
-    if args.format == "json":
-        record = {
-            "k": args.k,
-            "dimension": 2 * args.k,
-            "surface": args.surface,
-            "fixed_points": count,
-            "euler_check": "ok" if euler_ok else "MISMATCH",
-            "chern_numbers": {
-                format_chern_key(mu): _fmt_value(table[mu])
-                for mu in table.sorted_keys()
-            },
-        }
-        text = render_json([record])
-    elif args.format == "csv":
-        rows = [
-            (args.k, format_chern_key(mu), _fmt_value(table[mu]))
-            for mu in table.sorted_keys()
-        ]
-        text = _render_rows_csv(rows)
-    else:
-        lines = [
-            f"k={args.k}  dimension={2 * args.k}  surface={args.surface}",
-            f"  fixed points: {count} (series predicts {expected_count})",
-            f"  euler cross-check: {'ok' if euler_ok else 'MISMATCH'}"
-            f" (top Chern number {_fmt_value(top)})",
-        ]
-        for mu in table.sorted_keys():
-            lines.append(f"  {format_chern_key(mu)} | {_fmt_value(table[mu])}")
-        text = "\n".join(lines) + "\n"
-    return _emit(args, text, EXIT_OK if euler_ok else EXIT_MISMATCH)
+    euler_ok = table.top() == count == expected_count
+    check = "ok" if euler_ok else "MISMATCH"
+    numbers = _chern_strings(table)
+    record = {
+        "k": args.k,
+        "dimension": 2 * args.k,
+        "surface": args.surface,
+        "fixed_points": count,
+        "euler_check": check,
+        "chern_numbers": numbers,
+    }
+    rows = [(args.k, key, value) for key, value in numbers.items()]
+    lines = [
+        f"k={args.k}  dimension={2 * args.k}  surface={args.surface}",
+        f"  fixed points: {count} (series predicts {expected_count})",
+        f"  euler cross-check: {check} (top Chern number {table.top()})",
+        *(f"  {key} | {value}" for key, value in numbers.items()),
+    ]
+    code = EXIT_OK if euler_ok else EXIT_MISMATCH
+    return _emit(args, [record], ("n", "partition_key", "value"), rows, lines, code)
 
 
 def cmd_genus(args) -> int:
     if args.n_max < 1:
         print("n-max must be at least 1", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    model = _model_for(args, args.n_max)
-    results = _kummer_results(model, args.n_max)
+    results = _kummer_results(args)
     ell = genus_log_coefficients(args.name, max(2 * (args.n_max - 1), 1))
-    values = [(r.n, evaluate_genus(r.chern, ell)) for r in results]
-    if args.format == "json":
-        record = {
-            "genus": args.name,
-            "surface": args.surface,
-            "values": {str(n): _fmt_value(v) for n, v in values},
-        }
-        text = render_json([record])
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("n", "value"))
-        writer.writerows((n, _fmt_value(v)) for n, v in values)
-        text = buf.getvalue()
-    else:
-        lines = [f"{args.name} genus on the Kummer tables, surface {args.surface}"]
-        lines.extend(f"  {n} | {_fmt_value(v)}" for n, v in values)
-        text = "\n".join(lines) + "\n"
-    return _emit(args, text)
+    values = {str(r.n): str(evaluate_genus(r.chern, ell)) for r in results}
+    record = {"genus": args.name, "surface": args.surface, "values": values}
+    lines = [
+        f"{args.name} genus on the Kummer tables, surface {args.surface}",
+        *(f"  {n} | {value}" for n, value in values.items()),
+    ]
+    return _emit(args, [record], ("n", "value"), values.items(), lines)
 
 
 def _euler_series_coefficient(colors: int, k: int) -> int:
@@ -306,6 +265,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GenericityError as exc:
         print(f"genericity failure: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
+    except CheckError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,7 +37,11 @@ class GenericityError(Exception):
     """A chart or tangent weight vanished at the given torus parameters."""
 
 
-class VanishingCheckError(Exception):
+class CheckError(Exception):
+    """An internal consistency check of a computed result failed."""
+
+
+class VanishingCheckError(CheckError):
     """A below-top-degree localization sum failed to cancel."""
 
 

@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from kummer_chern import localization
+from kummer_chern import assembly, localization
 from kummer_chern.assembly import (
     HomogeneityError,
     KummerResult,
@@ -138,11 +138,13 @@ def test_smaller_n_is_served_from_the_longest_series(monkeypatch):
     assert calls == []
     for n in range(1, 5):
         assert kummer_genus_series(model, n) == _assemble_kummer_series(model, n)
+    # assembling another model drops this one's series: one series is held
+    other = find_generic_model("p2", 3, weights=(1, 43))
+    kummer_genus_series(other, 3)
+    assert list(assembly._assembled) == [other]
 
 
 def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):
-    import kummer_chern.assembly as assembly
-
     original = assembly.zseries_log
     # weight 0 below the z^2 weight 4, and s1^8 above every weight that
     # H(0) reaches at n_max = 3 (6): the check must see both
@@ -160,8 +162,6 @@ def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):
 
 
 def test_quadratic_check_fires_on_a_cubic_s1_term(p2, monkeypatch):
-    import kummer_chern.assembly as assembly
-
     original = assembly.zseries_log
 
     def corrupting_log(series):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from kummer_chern import cli
+from kummer_chern.polyring import SPoly
 
 
 def run(capsys, *argv):
@@ -237,3 +238,129 @@ def test_cold_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# every (command, format) pair, pinned byte for byte
+GOLDEN = {
+    ("compute", "--n-max", "3", "--format", "table"): """\
+n=2  dimension=2  surface=p2
+  c2 | 24
+n=3  dimension=4  surface=p2
+  c2^2 | 756
+  c4 | 108
+""",
+    ("compute", "--n-max", "3", "--format", "json"): """\
+[
+  {
+    "n": 2,
+    "dimension": 2,
+    "surface": "p2",
+    "chern_numbers": {
+      "c2": "24"
+    }
+  },
+  {
+    "n": 3,
+    "dimension": 4,
+    "surface": "p2",
+    "chern_numbers": {
+      "c2^2": "756",
+      "c4": "108"
+    }
+  }
+]
+""",
+    ("compute", "--n-max", "3", "--format", "csv"): """\
+n,partition_key,value
+2,c2,24
+3,c2^2,756
+3,c4,108
+""",
+    ("hilbert", "--k", "1", "--format", "table"): """\
+k=1  dimension=2  surface=p2
+  fixed points: 3 (series predicts 3)
+  euler cross-check: ok (top Chern number 3)
+  c1^2 | 9
+  c2 | 3
+""",
+    ("hilbert", "--k", "1", "--format", "json"): """\
+[
+  {
+    "k": 1,
+    "dimension": 2,
+    "surface": "p2",
+    "fixed_points": 3,
+    "euler_check": "ok",
+    "chern_numbers": {
+      "c1^2": "9",
+      "c2": "3"
+    }
+  }
+]
+""",
+    ("hilbert", "--k", "1", "--format", "csv"): """\
+n,partition_key,value
+1,c1^2,9
+1,c2,3
+""",
+    ("genus", "--name", "signature", "--n-max", "3", "--format", "table"): """\
+signature genus on the Kummer tables, surface p2
+  2 | -16
+  3 | 84
+""",
+    ("genus", "--name", "signature", "--n-max", "3", "--format", "json"): """\
+[
+  {
+    "genus": "signature",
+    "surface": "p2",
+    "values": {
+      "2": "-16",
+      "3": "84"
+    }
+  }
+]
+""",
+    ("genus", "--name", "signature", "--n-max", "3", "--format", "csv"): """\
+n,value
+2,-16
+3,84
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_output_is_the_golden_text(capsys, argv):
+    assert run(capsys, *argv) == (0, GOLDEN[argv], "")
+
+
+def test_compute_json_keeps_the_advisories(capsys, monkeypatch):
+    note = "n=2: an advisory made by this test"
+    original = cli.kummer_chern_numbers
+
+    def advised(model, n):
+        return original(model, n)._replace(advisories=(note,))
+
+    monkeypatch.setattr(cli, "kummer_chern_numbers", advised)
+    code, out, _ = run(capsys, "compute", "--n-max", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["advisories"] == [note]
+    code, out, _ = run(capsys, "compute", "--n-max", "2")
+    assert code == 0 and f"  advisory: {note}" in out.splitlines()
+
+
+def test_failed_check_exits_1_with_one_line(capsys, monkeypatch):
+    import kummer_chern.assembly as assembly
+
+    original = assembly.zseries_log
+
+    def corrupting_log(series):
+        coeffs = list(original(series))
+        coeffs[2] = coeffs[2] + SPoly.constant(1)  # off weight 4
+        return tuple(coeffs)
+
+    monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
+    # weights no other test assembles, so no stored series answers first
+    code, out, err = run(capsys, "compute", "--n-max", "3", "--weights", "1,47")
+    assert code == 1 and out == ""
+    assert err.startswith("check failed: z^2 coefficient of ln H(0) has off-weight")
+    assert len(err.splitlines()) == 1
