@@ -223,7 +223,7 @@ def cmd_hilbert(args) -> int:
         *(f"  {key} | {value}" for key, value in numbers.items()),
     ]
     code = EXIT_OK if euler_ok else EXIT_MISMATCH
-    return _emit(args, [record], ("n", "partition_key", "value"), rows, lines, code)
+    return _emit(args, [record], ("k", "partition_key", "value"), rows, lines, code)
 
 
 def cmd_genus(args) -> int:

@@ -236,11 +236,12 @@ def tangent_data(
 class LocalizedSums(NamedTuple):
     """Fixed-point sums for the Hilbert scheme of k points (an immutable record).
 
-    table[d] is the sum over all fixed points of P_d / euler_product for
-    d <= 2k, where P_d is the weight-d part of exp(sum_j s_j q_j).  Entries
-    with d < 2k vanish identically (checked at construction time), and
-    table[2k] is the genus, homogeneous of weight 2k.  weight_cap is always
-    2k; it is kept only because perfbench/spans.table_stats reads it.
+    table has the single key 2k: table[2k] is the sum over all fixed points
+    of P_2k / euler_product, where P_d is the weight-d part of
+    exp(sum_j s_j q_j).  That is the genus, homogeneous of weight 2k.  The
+    sums with d < 2k cancel (checked at construction time) and are not
+    stored.  weight_cap is always 2k; it is kept only because
+    perfbench/spans.table_stats reads it.
 
     The per-chart pieces the fixed points were assembled from are owned by
     the localized_sums call that built the record and are not kept in it.
@@ -255,9 +256,9 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     """Accumulate all fixed-point data of the Hilbert scheme of k points.
 
     The coefficient of s_lam in exp(sum_j s_j q_j) is q_lam / sym_factor(lam),
-    so entry d is sum_lam s_lam * N(lam) / (D * sym_factor(lam)) over
-    partitions lam of d, with D = lcm of the Euler products and the integer
-    numerators
+    so the degree-d sum is sum_lam s_lam * N(lam) / (D * sym_factor(lam))
+    over partitions lam of d, with D = lcm of the Euler products and the
+    integer numerators
 
         N(lam) = sum over fixed points of (D / euler_product) * q_lam .
 
@@ -265,10 +266,11 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     call owns the dict that holds them, so each is built once per table and
     dropped on return.
 
-    Each point adds one integer per partition of size <= 2k.  An entry with
+    Each point adds one integer per partition of size <= 2k.  A sum with
     d < 2k vanishes exactly when all its numerators are zero, so the
-    below-top check reads the integers; only the top entry is built, by one
-    exact division per partition.
+    below-top check reads the integers and raises VanishingCheckError on
+    the first nonzero one.  Only the top sum, the genus, is built, by one
+    exact division per partition of 2k; it is the record's one entry.
     """
     two_k = 2 * k
     # descending order makes mu[1:] a partition that comes earlier in the list
@@ -286,23 +288,18 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
             values.append(q[j] * values[parent])
         numerators = list(map(add, numerators, values))
 
-    def entry(d: int) -> SPoly:
-        terms = {
-            lam: Q(numerators[index[lam]], D * sym_factor(lam))
-            for lam in enumerate_partitions(d)
-        }
-        return SPoly(terms)
-
-    table = {}
-    for d in range(two_k):
-        if any(numerators[index[lam]] for lam in enumerate_partitions(d)):
+    top = len(enumerate_partitions(two_k))
+    for mu, numerator in zip(mus[:-top], numerators):
+        if numerator:
             raise VanishingCheckError(
-                f"below-top localization sum (degree {d}) for k={k} on "
-                f"{model.name}{model.weights} is {entry(d)}"
+                f"below-top localization sum (degree {sum(mu)}) for k={k} on "
+                f"{model.name}{model.weights}: partition {mu} has numerator {numerator}"
             )
-        table[d] = SPoly()
-    table[two_k] = entry(two_k)
-    return LocalizedSums(k, two_k, table)
+    genus = SPoly({
+        mu: Q(numerator, D * sym_factor(mu))
+        for mu, numerator in zip(mus[-top:], numerators[-top:])
+    })
+    return LocalizedSums(k, two_k, {two_k: genus})
 
 
 def hilbert_genus(model: SurfaceModel, k: int) -> SPoly:

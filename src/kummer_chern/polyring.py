@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .partitions import multiplicities
+
 try:  # pragma: no cover - exercised implicitly by the whole suite
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover
@@ -125,16 +127,10 @@ class SPoly:
         bits = []
         for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
             c = self.terms[mono]
-            factors = []
-            i = 0
-            while i < len(mono):
-                j = i
-                while j < len(mono) and mono[j] == mono[i]:
-                    j += 1
-                e = j - i
-                factors.append(f"s{mono[i]}" + (f"^{e}" if e > 1 else ""))
-                i = j
-            body = "*".join(factors)
+            body = "*".join(
+                f"s{part}" + (f"^{e}" if e > 1 else "")
+                for part, e in multiplicities(mono).items()
+            )
             if body:
                 bits.append(f"{c}*{body}" if c != 1 else body)
             else:

@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .partitions import Partition, enumerate_partitions, sym_factor
+from .partitions import Partition, enumerate_partitions, multiplicities, sym_factor
 from .polyring import Q, SPoly, combo_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
@@ -239,14 +239,7 @@ def format_chern_key(mu: Partition) -> str:
     """Render a partition as a Chern monomial: (4, 2, 2) -> 'c2^2 c4'."""
     if not mu:
         return "1"
-    parts = sorted(mu)
-    bits = []
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        e = j - i
-        bits.append(f"c{parts[i]}" + (f"^{e}" if e > 1 else ""))
-        i = j
-    return " ".join(bits)
+    return " ".join(
+        f"c{part}" + (f"^{e}" if e > 1 else "")
+        for part, e in multiplicities(sorted(mu)).items()
+    )

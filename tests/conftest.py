@@ -15,9 +15,18 @@ def p1xp1_model():
 
 
 @pytest.fixture(scope="session")
-def kummer_results_p2(p2_model):
-    """KummerResult for n = 1..8 on the plane (the heavy computation)."""
-    kummer_genus_series(p2_model, 8)
+def p2_series(p2_model):
+    """The Kummer genus series of the plane through z^8 (the heavy computation).
+
+    Assembled once per session: the assembly cache keeps one model only,
+    so a later test that assembles another model would evict it.
+    """
+    return kummer_genus_series(p2_model, 8)
+
+
+@pytest.fixture(scope="session")
+def kummer_results_p2(p2_model, p2_series):
+    """KummerResult for n = 1..8 on the plane, served from p2_series."""
     return {n: kummer_chern_numbers(p2_model, n) for n in range(1, 9)}
 
 

@@ -11,12 +11,15 @@ import time
 from pathlib import Path
 
 import kummer_chern
-from kummer_chern.assembly import _s1_derivative, hilbert_genus_series
+from kummer_chern.assembly import (
+    _s1_derivative,
+    hilbert_genus_series,
+    kummer_chern_numbers,
+)
 from kummer_chern.localization import (
     find_generic_model,
     fixed_points,
     hilbert_genus,
-    localized_sums,
 )
 from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.polyring import zseries_log
@@ -28,7 +31,6 @@ from kummer_chern.symfun import (
     power_integrals_from_genus_poly,
     power_product_in_elementary_basis,
 )
-from kummer_chern.assembly import kummer_chern_numbers, kummer_genus_series
 
 from oracles import (
     colored_partition_counts,
@@ -117,16 +119,13 @@ def test_criterion_5_euler_top_chern(kummer_results_p2):
     _report(5, "top Chern numbers match 24, 108, 448, 750, 2592, 2744, 7680")
 
 
-def test_criterion_6_property_suites(p2_model, p1xp1_model, kummer_results_p2):
-    # (a) below-top localization vanishing, k <= 8; every twisted sum is
-    # a combination of these untwisted ones
-    for k in range(9):
-        sums = localized_sums(p2_model, k)
-        for d in range(2 * k):
-            assert sums.table[d].is_zero(), (k, d)
+def test_criterion_6_property_suites(p2_model, p1xp1_model, p2_series):
+    # (a) below-top localization vanishing, k <= 8: localized_sums raises
+    # VanishingCheckError on any nonzero below-top sum, and (g) localizes
+    # every k <= 8; every twisted sum is a combination of these untwisted ones
 
     # (b) homogeneity of the z^n coefficient at weight 2(n-1)
-    series = kummer_genus_series(p2_model, 8)
+    series = p2_series
     for n in range(1, 9):
         assert series[n].off_weight_part(2 * (n - 1)).is_zero(), n
 

@@ -299,7 +299,7 @@ k=1  dimension=2  surface=p2
 ]
 """,
     ("hilbert", "--k", "1", "--format", "csv"): """\
-n,partition_key,value
+k,partition_key,value
 1,c1^2,9
 1,c2,3
 """,

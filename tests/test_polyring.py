@@ -57,6 +57,15 @@ def test_scalar_arithmetic_and_division():
     assert s(1).scale(Q(1, 2)).scale(2) == s(1)
 
 
+def test_str_renders_terms_by_weight():
+    assert str(SPoly()) == "0"
+    assert str(SPoly.constant(Q(7))) == "7"
+    assert str(SPoly.constant(Q(-3, 4))) == "-3/4"
+    assert str(SPoly({(3, 3, 1): 1})) == "s3^2*s1"
+    poly = SPoly({(2, 1, 1): Q(9, 2), (2,): 3, (): -1, (1, 1, 1, 1): Q(-5, 3)})
+    assert str(poly) == "-1 + 3*s2 + -5/3*s1^4 + 9/2*s2*s1^2"
+
+
 def test_weight_parts():
     p = SPoly({(): 7, (1,): 1, (2, 1): Q(1, 3), (4,): 2})
     assert p.off_weight_part(3) == SPoly({(): 7, (1,): 1, (4,): 2})
