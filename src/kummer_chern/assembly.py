@@ -35,6 +35,7 @@ from typing import NamedTuple
 from .localization import CheckError, SurfaceModel, hilbert_genus
 from .partitions import Partition
 from .polyring import Q, SPoly, zseries_euler_sq, zseries_log
+from .reference import REFERENCE_N_MAX
 from .symfun import (
     ChernTable,
     chern_from_power_integrals,
@@ -153,8 +154,6 @@ def _validate_kummer_table(n: int, table: ChernTable) -> KummerResult:
     cube = n**3
     for mu in table.sorted_keys():
         value = table[mu]
-        if value.denominator != 1:
-            raise TableValidationError(f"n={n}: entry {mu} = {value} is not integral")
         if any(part % 2 for part in mu):
             if value != 0:
                 raise TableValidationError(
@@ -169,7 +168,7 @@ def _validate_kummer_table(n: int, table: ChernTable) -> KummerResult:
             problems.append(f"not divisible by {n}^3")
         if problems:
             message = f"n={n}: entry {mu} = {value} is " + " and ".join(problems)
-            if n <= 8:
+            if n <= REFERENCE_N_MAX:
                 raise TableValidationError(message)
             advisories.append(message)
     return KummerResult(
@@ -181,14 +180,33 @@ def _sigma1(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
-def _check_euler_number(n: int, table: ChernTable) -> None:
-    """The top Chern number of the n-th member is n^3 * sigma_1(n), for every n."""
-    expected = n**3 * _sigma1(n)
-    if table.top() != expected:
+def _hilbert_euler_number(c2: int, k: int) -> int:
+    """Euler number of the Hilbert scheme of k points on a surface with c2.
+
+    It is the coefficient of q^k in prod_m (1 - q^m)^(-c2) (Goettsche).
+    """
+    coeffs = [1] + [0] * k
+    for m in range(1, k + 1):
+        for _ in range(c2):
+            for i in range(m, k + 1):
+                coeffs[i] += coeffs[i - m]
+    return coeffs[k]
+
+
+def _checked_table(label: str, genus: SPoly, d: int, euler: int) -> ChernTable:
+    """Chern numbers of a degree-d genus, checked integral with top number euler.
+
+    label ("n=3", "k=2") starts every error message.
+    """
+    table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
+    for mu, value in table.numbers.items():
+        if value.denominator != 1:
+            raise TableValidationError(f"{label}: entry {mu} = {value} is not integral")
+    if table.top() != euler:
         raise TableValidationError(
-            f"n={n}: top Chern number {table.top()}, expected n^3 sigma_1(n) "
-            f"= {expected}"
+            f"{label}: top Chern number {table.top()}, expected Euler number {euler}"
         )
+    return table
 
 
 def _check_todd_genus(n: int, genus: SPoly) -> None:
@@ -208,20 +226,18 @@ def kummer_chern_numbers(model: SurfaceModel, n: int) -> KummerResult:
         raise ValueError("need n >= 1")
     genus = kummer_genus_series(model, n)[n]
     _check_todd_genus(n, genus)
-    d = 2 * (n - 1)
-    table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
-    _check_euler_number(n, table)
+    # the Euler number of the n-th member is n^3 * sigma_1(n), for every n
+    table = _checked_table(f"n={n}", genus, 2 * (n - 1), n**3 * _sigma1(n))
     return _validate_kummer_table(n, table)
 
 
 def hilbert_chern_numbers(model: SurfaceModel, k: int) -> ChernTable:
-    """Chern numbers of the Hilbert scheme of k points on the surface."""
+    """Chern numbers of the Hilbert scheme of k points on the surface.
+
+    Checked integral, with the top number equal to Goettsche's Euler number;
+    a failure raises TableValidationError, one "check failed:" line in the CLI.
+    """
     if k < 0:
         raise ValueError("need k >= 0")
-    genus = hilbert_genus(model, k)
-    d = 2 * k
-    table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
-    for mu, value in table.numbers.items():
-        if value.denominator != 1:
-            raise TableValidationError(f"k={k}: entry {mu} = {value} is not integral")
-    return table
+    euler = _hilbert_euler_number(model.c2, k)
+    return _checked_table(f"k={k}", hilbert_genus(model, k), 2 * k, euler)

@@ -176,14 +176,14 @@ def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
 
 
 class TangentData(NamedTuple):
-    """Tangent weights at one fixed point with their derived quantities.
+    """The product and power sums of the tangent weights at one fixed point.
 
     An immutable record; ``_replace`` makes a modified copy.  The same
     record holds one chart's piece of a fixed point: the weights of one
-    partition in one chart, with their power sums up to the same 2k.
+    partition in one chart, through their power sums up to the same 2k.
+    The 2k power sums of the 2k weights fix the weights as a multiset.
     """
 
-    weights: tuple[int, ...]
     euler_product: int
     power_sums: tuple[int, ...]  # q_j = sum w_i^j for j = 1..2k
 
@@ -193,31 +193,27 @@ Pieces = dict[tuple[tuple[int, int], Partition, int], TangentData]
 
 
 def _piece(chart: tuple[int, int], lam: Partition, two_k: int) -> TangentData:
-    ws = tuple(tangent_weights(chart, lam))
+    ws = tangent_weights(chart, lam)
     powers = ws
     sums = []
     for _ in range(two_k):
         sums.append(sum(powers))
         powers = list(map(mul, powers, ws))
-    return TangentData(ws, prod(ws), tuple(sums))
+    return TangentData(prod(ws), tuple(sums))
 
 
 def tangent_data(
-    model: SurfaceModel, point: FixedPoint, *, pieces: Pieces | None = None
+    model: SurfaceModel, point: FixedPoint, *, pieces: Pieces
 ) -> TangentData:
     """Tangent data at a fixed point of the Hilbert scheme of k points.
 
     The tangent space is the direct sum of one piece per chart, so the
-    weights concatenate, the Euler products multiply and the power sums
-    q_1..q_2k add.  Each (chart, lam) piece is built once and kept in
-    ``pieces``: the localized_sums call passes the dict it owns for its
-    table, whose points share most pieces.  Without one the pieces are
-    built for this point alone.
+    Euler products multiply and the power sums q_1..q_2k add.  Each
+    (chart, lam) piece is built once and kept in ``pieces``: the
+    localized_sums call passes the dict it owns for its table, whose
+    points share most pieces.
     """
-    if pieces is None:
-        pieces = {}
     two_k = 2 * sum(map(sum, point))
-    ws = ()
     euler = 1
     sums = []
     for chart, lam in zip(model.charts, point):
@@ -227,10 +223,9 @@ def tangent_data(
             # built for an empty partition too: a zero chart weight raises
             piece = pieces[key] = _piece(chart, lam, two_k)
         if lam:
-            ws += piece.weights
             euler *= piece.euler_product
             sums.append(piece.power_sums)
-    return TangentData(ws, euler, tuple(map(sum, zip(*sums))))
+    return TangentData(euler, tuple(map(sum, zip(*sums))))
 
 
 class LocalizedSums(NamedTuple):

@@ -337,6 +337,8 @@ def direct_tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
 
     The weights come from the cell hooks, chart by chart; the power sums
     are taken over the whole list, not assembled from per-chart pieces.
+    The 2k power sums of the 2k weights fix the weights as a multiset
+    (Newton), so comparing them compares the weights.
     """
     ws = []
     for (v1, v2), lam in zip(model.charts, point):
@@ -344,7 +346,7 @@ def direct_tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
             ws.append((cell.arm + 1) * v1 - cell.leg * v2)
             ws.append(-cell.arm * v1 + (cell.leg + 1) * v2)
     sums = tuple(sum(w**j for w in ws) for j in range(1, len(ws) + 1))
-    return TangentData(tuple(ws), prod(ws), sums)
+    return TangentData(prod(ws), sums)
 
 
 def fixed_point_contribution(model: SurfaceModel, point: FixedPoint, t: int) -> UPoly:
@@ -353,8 +355,8 @@ def fixed_point_contribution(model: SurfaceModel, point: FixedPoint, t: int) -> 
     Returns exp(sum_j (s_j + t*[j==1]) q_j u^j) / euler_product, truncated
     at u-degree 2k.
     """
-    data = tangent_data(model, point)
-    two_k = len(data.weights)
+    data = tangent_data(model, point, pieces={})
+    two_k = 2 * sum(map(sum, point))
     E = [SPoly()]
     for j in range(1, two_k + 1):
         coeff = spoly_variable(j)

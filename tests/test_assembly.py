@@ -9,8 +9,8 @@ from kummer_chern.assembly import (
     QuadraticCheckError,
     TableValidationError,
     _assemble_kummer_series,
-    _check_euler_number,
     _check_todd_genus,
+    _checked_table,
     _s1_derivative,
     _validate_kummer_table,
     hilbert_chern_numbers,
@@ -21,6 +21,7 @@ from kummer_chern.assembly import (
 from kummer_chern.localization import (
     build_surface_model,
     find_generic_model,
+    fixed_points,
     hilbert_genus,
     localized_sums,
 )
@@ -92,8 +93,9 @@ def test_kummer_odd_part_entries_vanish_before_dropping(p2):
 
 
 def test_validation_rejects_bad_tables():
+    # s1^2 / 2 gives the non-integral c1^2 = 1/2
     with pytest.raises(TableValidationError, match="not integral"):
-        _validate_kummer_table(2, ChernTable(2, {(2,): Q(1, 2), (1, 1): Q(0)}))
+        _checked_table("n=2", SPoly({(1, 1): Q(1, 2)}), 2, 0)
     with pytest.raises(TableValidationError, match="odd-part"):
         _validate_kummer_table(2, ChernTable(2, {(2,): Q(24), (1, 1): Q(1)}))
     with pytest.raises(TableValidationError, match="not positive"):
@@ -107,13 +109,13 @@ def test_validation_rejects_bad_tables():
 
 def test_closed_form_oracles_reject_corrupted_inputs(p2):
     genus = kummer_genus_series(p2, 3)[3]
-    table = ChernTable(4, {(4,): Q(108), (2, 2): Q(756)})
     _check_todd_genus(3, genus)
-    _check_euler_number(3, table)
+    table = _checked_table("n=3", genus, 4, 108)
+    assert (table[(4,)], table[(2, 2)]) == (108, 756)
     with pytest.raises(TableValidationError, match="Todd genus"):
         _check_todd_genus(3, genus + SPoly({(4,): 1}))
-    with pytest.raises(TableValidationError, match="sigma_1"):
-        _check_euler_number(3, ChernTable(4, {(4,): Q(109), (2, 2): Q(756)}))
+    with pytest.raises(TableValidationError, match="expected Euler number 109"):
+        _checked_table("n=3", genus, 4, 109)
 
 
 def test_closed_forms_hold_beyond_the_reference_table():
@@ -218,6 +220,30 @@ def test_hilbert_chern_numbers(p2):
     assert all(isinstance(v, int) for v in two.numbers.values())
     zero = hilbert_chern_numbers(p2, 0)
     assert dict(zero.numbers) == {(): 1}
+
+
+def test_hilbert_top_chern_number_counts_the_fixed_points():
+    # each fixed point adds 1 to the top Chern number in the residue sum,
+    # and hilbert_chern_numbers checks that number against Goettsche's series
+    for name in ("p2", "p1xp1"):
+        for weights in (None, (3, 7)):
+            model = find_generic_model(name, 6, weights=weights)
+            for k in range(7):
+                top = hilbert_chern_numbers(model, k).top()
+                assert len(fixed_points(model, k)) == top, (name, weights, k)
+
+
+def test_hilbert_euler_check_fires_on_a_corrupted_genus(p2, monkeypatch):
+    original = assembly.hilbert_genus
+
+    def corrupted(model, k):  # + 2k s_2k takes 1 from the top Chern number
+        return original(model, k) + SPoly({(2 * k,): 2 * k})
+
+    monkeypatch.setattr(assembly, "hilbert_genus", corrupted)
+    with pytest.raises(
+        TableValidationError, match="k=3: top Chern number 21, expected Euler number 22"
+    ):
+        hilbert_chern_numbers(p2, 3)
 
 
 def test_public_records_compare_by_value():

@@ -364,3 +364,17 @@ def test_failed_check_exits_1_with_one_line(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("check failed: z^2 coefficient of ln H(0) has off-weight")
     assert len(err.splitlines()) == 1
+
+
+def test_failed_hilbert_euler_check_exits_1_with_one_line(capsys, monkeypatch):
+    import kummer_chern.assembly as assembly
+
+    original = assembly.hilbert_genus
+
+    def corrupted(model, k):  # + 2k s_2k takes 1 from the top Chern number
+        return original(model, k) + SPoly({(2 * k,): 2 * k})
+
+    monkeypatch.setattr(assembly, "hilbert_genus", corrupted)
+    code, out, err = run(capsys, "hilbert", "--k", "3")
+    assert (code, out) == (1, "")
+    assert err == "check failed: k=3: top Chern number 21, expected Euler number 22\n"
