@@ -22,11 +22,11 @@ is a triangular solve: the row of lam reads only partitions mu that refine
 lam, and its diagonal entry is prod_i (-1)^(lam_i - 1) lam_i.  Walking the
 partitions from most parts to fewest, each c_lam is one exact division by
 that diagonal.  Tables of genuine manifolds are integral, so the solve
-runs on integers: an integral P_lam is carried as an int and each division
-that comes out exact stays one.  Only a division with a remainder falls
-back to a rational, so the solve is still the exact inverse of the forward
-product on any rational table; whether a table is integral is for its
-caller to check.
+runs on integers: an integral P_lam is carried as an int and every division
+must come out exact.  With the earlier entries integral, an entry is
+integral exactly when its power integral is integral and its row divides
+exactly, so the first inexact row is the first non-integral entry, and
+the solve raises there.
 
 A genus with series f(x) = exp(sum_j l_j x^j) takes the value
 
@@ -126,8 +126,9 @@ def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTa
     Solves P_lam = sum_mu M[lam][mu] c_mu on the rows of
     power_product_in_elementary_basis, from most parts to fewest, so every
     c_mu a row reads is known before the row is reached.  An integral P_lam
-    is carried as an int, and c_lam is an int whenever the row's remainder
-    divides exactly by its diagonal; otherwise it is the rational quotient.
+    is carried as an int, and c_lam is the row's remainder divided exactly
+    by its diagonal.  Raises ValueError at the first entry that is not
+    integral.
     """
     numbers = {}
     for lam in sorted(enumerate_partitions(d), key=len, reverse=True):
@@ -142,10 +143,9 @@ def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTa
             if mu != lam:
                 total -= c * numbers[mu]
         diagonal = row[lam]
-        if type(total) is int and total % diagonal == 0:
-            numbers[lam] = total // diagonal
-        else:
-            numbers[lam] = Q(total, diagonal)
+        if type(total) is not int or total % diagonal:
+            raise ValueError(f"entry {lam} = {Q(total, diagonal)} is not integral")
+        numbers[lam] = total // diagonal
     return ChernTable(d, numbers)
 
 
