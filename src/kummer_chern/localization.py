@@ -1,9 +1,11 @@
 """Torus localization on Hilbert schemes of points on toric surfaces.
 
-The two surfaces carried here (the projective plane and a product of two
-projective lines) have finitely many torus-fixed points, one per chart;
-the chart records the two tangent weights at its fixed point, evaluated
-at an integer parameter pair (a, b).
+A smooth complete toric surface is given by its fan (see FANS): rays listed
+counter-clockwise, each two neighbours spanning a cone of determinant one.
+The torus fixes one point per cone (u, v); its chart holds the two tangent
+weights there, the dual basis of (u, v) at integer parameters (a, b):
+
+    (v2 * a - v1 * b ,  u1 * b - u2 * a) .
 
 A fixed point of the Hilbert scheme of k points is a tuple of monomial
 ideals, one per chart, indexed by partitions with total size k.  At a cell
@@ -49,7 +51,7 @@ class SurfaceModel(NamedTuple):
     """A toric surface with integer chart weights and its Chern invariants.
 
     An immutable record that compares and hashes by value, so a model can
-    key the per-model caches.
+    key the assembled-series cache (``assembly._assembled``).
     """
 
     name: str
@@ -59,33 +61,34 @@ class SurfaceModel(NamedTuple):
     weights: tuple[int, int]
 
 
-SURFACE_NAMES = ("p2", "p1xp1")
+# counter-clockwise rays of each surface's fan
+FANS = {
+    "p2": ((1, 0), (0, 1), (-1, -1)),
+    "p1xp1": ((1, 0), (0, 1), (-1, 0), (0, -1)),
+}
+SURFACE_NAMES = tuple(FANS)
 
 
 def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
     """Surface model at torus parameters (a, b); rejects zero chart weights.
 
-    For the plane the homogeneous coordinates carry weights (0, a, b), so
-    the three fixed points see weights (a, b), (-a, b-a), (-b, a-b).  For
-    the product of two lines the factor weights are a and b and the four
-    fixed points see (+-a, +-b).
+    One chart per cone of the fan, by the formula in the module docstring.
+    A fan with m rays has m fixed points, so c2 = m, and c1^2 = 12 - m by
+    Noether's formula (a toric surface is rational).
     """
-    if (a, b) == (0, 0):
-        raise GenericityError("torus parameters (0, 0) are degenerate")
-    if name == "p2":
-        charts = ((a, b), (-a, b - a), (-b, a - b))
-        c1sq, c2 = 9, 3
-    elif name == "p1xp1":
-        charts = ((a, b), (a, -b), (-a, b), (-a, -b))
-        c1sq, c2 = 8, 4
-    else:
+    if name not in FANS:
         raise ValueError(f"unknown surface {name!r}")
+    rays = FANS[name]
+    charts = tuple(
+        (v2 * a - v1 * b, u1 * b - u2 * a)
+        for (u1, u2), (v1, v2) in zip(rays, rays[1:] + rays[:1])
+    )
     for i, (v1, v2) in enumerate(charts):
         if v1 == 0 or v2 == 0:
             raise GenericityError(
                 f"chart {i} of {name} has a zero weight at (a, b) = ({a}, {b})"
             )
-    return SurfaceModel(name, charts, c1sq, c2, (a, b))
+    return SurfaceModel(name, charts, 12 - len(rays), len(rays), (a, b))
 
 
 def is_generic(model: SurfaceModel, depth: int) -> bool:
@@ -103,16 +106,23 @@ def is_generic(model: SurfaceModel, depth: int) -> bool:
     return True
 
 
+def _require_generic(model: SurfaceModel, depth: int) -> None:
+    if not is_generic(model, depth):
+        raise GenericityError(
+            f"weights {model.weights} are degenerate for {model.name} at depth {depth}"
+        )
+
+
 def default_weights(depth: int) -> tuple[int, int]:
     """Torus parameters (1, b) with b = d^2 + d + 1, d = max(depth, 1).
 
-    They are generic on both surfaces by construction.  The chart weights
-    are +-1, +-b and +-(b - 1), nonzero since b >= 3.  A tangent weight
-    vanishes only if (arm + 1) * v1 = leg * v2 or (leg + 1) * v2 = arm * v1
-    with arm + leg <= depth - 1.  Neither can hold where v1 and v2 differ
-    in sign.  In the other charts, (1, b) and (b, b - 1) up to sign, either
-    makes one of arm, arm + 1, leg, leg + 1 a positive multiple of b (which
-    is prime to b - 1), but each is at most d < b.
+    They are generic on every surface in FANS by construction.  In the
+    chart of a cone with dual basis e1, e2 a tangent weight is <x, (1, b)>
+    with x = (arm + 1) * e1 - leg * e2 or x = -arm * e1 + (leg + 1) * e2,
+    and arm + leg <= d - 1.  Such an x is nonzero, and as the entries of e1
+    and e2 are 0 or +-1 in these fans, its entries have size at most
+    arm + leg + 1 <= d < b, so <x, (1, b)> = x1 + b * x2 is nonzero.  The
+    chart weights <e1, (1, b)> and <e2, (1, b)> are nonzero the same way.
     """
     d = max(depth, 1)
     return (1, d * d + d + 1)
@@ -132,10 +142,7 @@ def find_generic_model(
     if weights is None:
         weights = default_weights(depth)
     model = build_surface_model(name, *weights)
-    if not is_generic(model, depth):
-        raise GenericityError(
-            f"weights {weights} are degenerate for {name} at depth {depth}"
-        )
+    _require_generic(model, depth)
     return model
 
 
@@ -155,23 +162,14 @@ def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
     and leg cols[c] - r - 1, where cols[c] is the length of column c.
     """
     v1, v2 = chart
-    if v1 == 0 or v2 == 0:
-        raise GenericityError("chart weights must be nonzero")
     cols = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
     out = []
     for r, part in enumerate(lam):
         for c in range(part):
             arm = part - c - 1
             leg = cols[c] - r - 1
-            w1 = (arm + 1) * v1 - leg * v2
-            w2 = -arm * v1 + (leg + 1) * v2
-            if w1 == 0 or w2 == 0:
-                raise GenericityError(
-                    f"zero tangent weight at cell (row {r}, col {c}, arm {arm}, "
-                    f"leg {leg}) of {lam} in chart {chart}"
-                )
-            out.append(w1)
-            out.append(w2)
+            out.append((arm + 1) * v1 - leg * v2)
+            out.append(-arm * v1 + (leg + 1) * v2)
     return out
 
 
@@ -217,12 +215,11 @@ def tangent_data(
     euler = 1
     sums = []
     for chart, lam in zip(model.charts, point):
-        key = (chart, lam, two_k)
-        piece = pieces.get(key)
-        if piece is None:
-            # built for an empty partition too: a zero chart weight raises
-            piece = pieces[key] = _piece(chart, lam, two_k)
-        if lam:
+        if lam:  # an empty partition adds no weights
+            key = (chart, lam, two_k)
+            piece = pieces.get(key)
+            if piece is None:
+                piece = pieces[key] = _piece(chart, lam, two_k)
             euler *= piece.euler_product
             sums.append(piece.power_sums)
     return TangentData(euler, tuple(map(sum, zip(*sums))))
@@ -266,7 +263,9 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     below-top check reads the integers and raises VanishingCheckError on
     the first nonzero one.  Only the top sum, the genus, is built, by one
     exact division per partition of 2k; it is the record's one entry.
+    A model not generic up to depth k raises GenericityError first.
     """
+    _require_generic(model, k)
     two_k = 2 * k
     # descending order makes mu[1:] a partition that comes earlier in the list
     mus = [mu for size in range(two_k + 1) for mu in enumerate_partitions(size)]

@@ -553,7 +553,7 @@ def expand_power(j: int, nvars: int) -> dict:
 
 
 def expand_product(factors: list[dict], nvars: int) -> dict:
-    acc = {tuple([0] * nvars): Fraction(1)}
+    acc = {tuple([0] * nvars): 1}
     for f in factors:
         acc = _poly_mul(acc, f)
     return acc

@@ -26,10 +26,28 @@ from oracles import (
 )
 
 
+# each surface's charts written out by hand from its homogeneous coordinates
+# (weights (0, a, b) on the plane, a and b on the two lines): the fan formula
+# must give the same weight pairs, up to order within a chart and the order
+# of the charts
+HAND_WRITTEN_CHARTS = {
+    "p2": lambda a, b: ((a, b), (-a, b - a), (-b, a - b)),
+    "p1xp1": lambda a, b: ((a, b), (a, -b), (-a, b), (-a, -b)),
+}
+PARAMETERS = [(1, 2), (1, 3), (3, 7), (1, 73), (-5, 11), (2, -9), (-4, -13)]
+
+
+def _weight_pairs(charts):
+    return sorted(tuple(sorted(chart)) for chart in charts)
+
+
 def test_p2_model_at_1_2():
     m = build_surface_model("p2", 1, 2)
-    assert m.charts == ((1, 2), (-1, 1), (-2, -1))
-    assert m.c1sq == 9 and m.c2 == 3
+    assert m.charts == ((1, 2), (1, -1), (-2, -1))
+    for a, b in PARAMETERS:
+        m = build_surface_model("p2", a, b)
+        assert _weight_pairs(m.charts) == _weight_pairs(HAND_WRITTEN_CHARTS["p2"](a, b))
+        assert (m.c1sq, m.c2) == (9, 3)
 
 
 def test_p2_model_at_1_1_is_degenerate():
@@ -38,9 +56,10 @@ def test_p2_model_at_1_1_is_degenerate():
 
 
 def test_p1xp1_model():
-    m = build_surface_model("p1xp1", 1, 3)
-    assert sorted(m.charts) == [(-1, -3), (-1, 3), (1, -3), (1, 3)]
-    assert m.c1sq == 8 and m.c2 == 4
+    for a, b in PARAMETERS:
+        m = build_surface_model("p1xp1", a, b)
+        assert _weight_pairs(m.charts) == _weight_pairs(HAND_WRITTEN_CHARTS["p1xp1"](a, b))
+        assert (m.c1sq, m.c2) == (8, 4)
 
 
 def test_unknown_surface():
@@ -52,12 +71,6 @@ def test_tangent_weights_examples():
     assert sorted(tangent_weights((1, 2), (1,))) == [1, 2]
     assert sorted(tangent_weights((1, 5), (2,))) == [1, 2, 4, 5]
     assert sorted(tangent_weights((1, 5), (1, 1))) == [-4, 1, 5, 10]
-
-
-def test_tangent_weights_zero_weight_raises():
-    # cell (0,0) of [2,1] has arm 1, leg 1: weight 2*1 - 1*2 = 0
-    with pytest.raises(GenericityError, match=r"row 0, col 0, arm 1, leg 1"):
-        tangent_weights((1, 2), (2, 1))
 
 
 def test_tangent_weights_match_the_cell_hook_oracle():
@@ -120,18 +133,26 @@ def test_tangent_data_from_shared_pieces_matches_direct_computation():
                     assert shared == direct_tangent_data(m, point), (name, weights, point)
 
 
-def test_zero_tangent_weight_raises_through_the_pieces_path():
+def test_localized_sums_rejects_a_degenerate_model_before_tangent_data(monkeypatch):
+    import kummer_chern.localization as localization
+
+    original = localization.tangent_data
+    calls = []
+
+    def counting_data(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "tangent_data", counting_data)
     m = build_surface_model("p2", 1, 2)  # [2,1] in chart 0 has a zero weight
-    pieces = {}
-    for point in fixed_points(m, 2):
-        tangent_data(m, point, pieces=pieces)
-    for _ in range(2):  # a failed piece is not kept
-        with pytest.raises(GenericityError, match="zero tangent weight"):
-            tangent_data(m, ((2, 1), (), ()), pieces=pieces)
-    # a zero chart weight raises even where the chart's partition is empty
-    bad = SurfaceModel("p2", ((1, 2), (0, 1), (-2, -1)), 9, 3, (1, 2))
-    with pytest.raises(GenericityError, match="chart weights"):
-        tangent_data(bad, ((1,), (), ()), pieces={})
+    zero_chart = SurfaceModel("p2", ((1, 2), (0, 1), (-2, -1)), 9, 3, (1, 2))
+    for model, k in ((m, 3), (zero_chart, 1)):
+        with pytest.raises(GenericityError, match=f"degenerate for p2 at depth {k}"):
+            localized_sums(model, k)
+    assert calls == []
+    # the counter does see the points of a table that passes
+    localized_sums(m, 2)
+    assert len(calls) == len(fixed_points(m, 2))
 
 
 def test_contribution_of_first_chart_point():
