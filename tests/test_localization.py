@@ -133,7 +133,9 @@ def test_tangent_data_from_shared_pieces_matches_direct_computation():
                     assert shared == direct_tangent_data(m, point), (name, weights, point)
 
 
-def test_localized_sums_rejects_a_degenerate_model_before_tangent_data(monkeypatch):
+@pytest.fixture
+def tangent_data_calls(monkeypatch):
+    """Record each tangent_data call that localized_sums makes."""
     import kummer_chern.localization as localization
 
     original = localization.tangent_data
@@ -144,15 +146,31 @@ def test_localized_sums_rejects_a_degenerate_model_before_tangent_data(monkeypat
         return original(*args, **kwargs)
 
     monkeypatch.setattr(localization, "tangent_data", counting_data)
-    m = build_surface_model("p2", 1, 2)  # [2,1] in chart 0 has a zero weight
-    zero_chart = SurfaceModel("p2", ((1, 2), (0, 1), (-2, -1)), 9, 3, (1, 2))
-    for model, k in ((m, 3), (zero_chart, 1)):
-        with pytest.raises(GenericityError, match=f"degenerate for p2 at depth {k}"):
-            localized_sums(model, k)
-    assert calls == []
+    return calls
+
+
+def test_tangent_weights_zero_weight_raises(tangent_data_calls):
+    # cell (0,0) of [2,1] has arm 1, leg 1: weight 2*1 - 1*2 = 0 in chart (1, 2);
+    # tangent_weights is the bare formula, and localized_sums rejects the model
+    # before it computes any tangent data
+    assert tangent_weights((1, 2), (2, 1))[0] == 0
+    m = build_surface_model("p2", 1, 2)
+    with pytest.raises(GenericityError, match="degenerate for p2 at depth 3"):
+        localized_sums(m, 3)
+    assert tangent_data_calls == []
     # the counter does see the points of a table that passes
     localized_sums(m, 2)
-    assert len(calls) == len(fixed_points(m, 2))
+    assert len(tangent_data_calls) == len(fixed_points(m, 2))
+
+
+def test_zero_tangent_weight_raises_through_the_pieces_path(tangent_data_calls):
+    # a zero chart weight is a zero tangent weight of the one-box partition:
+    # it raises before localized_sums builds any piece
+    zero_chart = SurfaceModel("p2", ((1, 2), (0, 1), (-2, -1)), 9, 3, (1, 2))
+    assert 0 in tangent_weights(zero_chart.charts[1], (1,))
+    with pytest.raises(GenericityError, match="degenerate for p2 at depth 1"):
+        localized_sums(zero_chart, 1)
+    assert tangent_data_calls == []
 
 
 def test_contribution_of_first_chart_point():
