@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--weights",
             type=_parse_weights,
             default=None,
-            help="explicit torus parameters A,B",
+            help="explicit torus parameters; --weights=A,B lets A be negative",
         )
         if with_format:
             p.add_argument(

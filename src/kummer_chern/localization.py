@@ -113,19 +113,19 @@ def _require_generic(model: SurfaceModel, depth: int) -> None:
         )
 
 
-def default_weights(depth: int) -> tuple[int, int]:
-    """Torus parameters (1, b) with b = d^2 + d + 1, d = max(depth, 1).
+def default_weights(name: str, depth: int) -> tuple[int, int]:
+    """Torus parameters (1, b) with b = d * M + 1, generic up to depth d.
 
-    They are generic on every surface in FANS by construction.  In the
-    chart of a cone with dual basis e1, e2 a tangent weight is <x, (1, b)>
-    with x = (arm + 1) * e1 - leg * e2 or x = -arm * e1 + (leg + 1) * e2,
-    and arm + leg <= d - 1.  Such an x is nonzero, and as the entries of e1
-    and e2 are 0 or +-1 in these fans, its entries have size at most
-    arm + leg + 1 <= d < b, so <x, (1, b)> = x1 + b * x2 is nonzero.  The
-    chart weights <e1, (1, b)> and <e2, (1, b)> are nonzero the same way.
+    Here d = max(depth, 1) and M is the largest absolute coordinate of a ray
+    in the fan of ``name``.  Each cone has determinant one, so its dual basis
+    e1, e2 has entries of size at most M.  In its chart a tangent weight is
+    <x, (1, b)> with x = (arm + 1) * e1 - leg * e2 or -arm * e1 + (leg + 1) * e2,
+    and arm + leg <= d - 1.  Such an x is nonzero with entries of size at most
+    (arm + leg + 1) * M <= d * M < b, so <x, (1, b)> = x1 + b * x2 is nonzero,
+    and so are the chart weights <e1, (1, b)> and <e2, (1, b)>.
     """
     d = max(depth, 1)
-    return (1, d * d + d + 1)
+    return (1, d * max(abs(c) for ray in FANS[name] for c in ray) + 1)
 
 
 def find_generic_model(
@@ -136,11 +136,11 @@ def find_generic_model(
     """Build a model generic up to Hilbert depth ``depth``.
 
     Explicit weights are used as given and must pass the genericity
-    precheck; without them the model uses ``default_weights(depth)``,
-    which always pass.
+    precheck; without them the model uses ``default_weights(name, depth)``,
+    which pass on every fan.
     """
     if weights is None:
-        weights = default_weights(depth)
+        weights = default_weights(name, depth)
     model = build_surface_model(name, *weights)
     _require_generic(model, depth)
     return model

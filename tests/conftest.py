@@ -1,7 +1,24 @@
 import pytest
 
+from kummer_chern import localization
 from kummer_chern.assembly import kummer_chern_numbers, kummer_genus_series
 from kummer_chern.localization import find_generic_model
+
+# fans that are not presets, by name: counter-clockwise rays, the largest
+# absolute ray coordinate M and (c1^2, c2).  F2 has dual entries of size 2,
+# beyond the 0 and +-1 of p2 and p1xp1.
+EXTRA_FANS = {
+    "f2": (((1, 0), (0, 1), (-1, 2), (0, -1)), 2, (8, 4)),
+    "hexagon": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), 1, (6, 6)),
+}
+
+
+@pytest.fixture
+def extra_fans(monkeypatch):
+    """EXTRA_FANS, added to localization.FANS for one test."""
+    for name, (rays, _, _) in EXTRA_FANS.items():
+        monkeypatch.setitem(localization.FANS, name, rays)
+    return EXTRA_FANS
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from kummer_chern.localization import (
     localized_sums,
 )
 from kummer_chern.polyring import Q, SPoly
+from kummer_chern.reference import reference_for
 from kummer_chern.symfun import ChernTable
 
 from oracles import localized_twisted_sums, sigma1
@@ -214,6 +215,19 @@ def test_hilbert_top_chern_number_counts_the_fixed_points():
             for k in range(7):
                 top = hilbert_chern_numbers(model, k).top()
                 assert len(fixed_points(model, k)) == top, (name, weights, k)
+
+
+def test_fans_beyond_the_presets_at_their_default_weights(extra_fans):
+    # hilbert_chern_numbers runs Goettsche's Euler check on each table
+    for name, (_, _, invariants) in extra_fans.items():
+        model = find_generic_model(name, 4)
+        assert (model.c1sq, model.c2) == invariants
+        for k in range(5):
+            top = hilbert_chern_numbers(model, k).top()
+            assert len(fixed_points(model, k)) == top, (name, k)
+    f2 = find_generic_model("f2", 3)
+    for n in (2, 3):
+        assert dict(kummer_chern_numbers(f2, n).chern.numbers) == reference_for(n)
 
 
 def test_hilbert_euler_check_fires_on_a_corrupted_genus(p2, monkeypatch):

@@ -164,6 +164,13 @@ def test_explicit_good_weights_work(capsys):
     assert "c2 | 24" in out
 
 
+def test_negative_first_weight_needs_the_equals_form(capsys):
+    # argparse reads a separate "-5,11" as an option, so the help asks for "="
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--weights=-5,11")
+    assert code == 0
+    assert "6 of 6 entries match" in out
+
+
 def test_bad_weight_syntax_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "--n-max", "2", "--weights", "1;2"])

@@ -100,15 +100,24 @@ def test_genericity_precheck_and_schedule():
     m = build_surface_model("p2", 1, 2)
     assert is_generic(m, 2)
     assert not is_generic(m, 3)  # [2,1] produces a zero weight in chart 0
-    assert default_weights(8) == (1, 73)
-    assert find_generic_model("p2", 8).weights == (1, 73)
+    assert default_weights("p2", 8) == (1, 9)
+    assert find_generic_model("p2", 8).weights == (1, 9)
     # the defaults pass on the first try at every depth, depth 0 included
     for name in SURFACE_NAMES:
         for d in range(31):
-            assert find_generic_model(name, d).weights == default_weights(d)
+            assert find_generic_model(name, d).weights == default_weights(name, d)
     with pytest.raises(GenericityError):
         find_generic_model("p2", 3, weights=(1, 2))
     assert find_generic_model("p2", 3, weights=(1, 5)).weights == (1, 5)
+
+
+def test_default_weights_read_the_bound_off_the_fan(extra_fans):
+    for name, (_, bound, _) in extra_fans.items():
+        for d in range(1, 13):
+            assert find_generic_model(name, d).weights == (1, d * bound + 1), (name, d)
+    # on the hexagon (M = 1) the bound is tight: b = d is degenerate at depth d
+    for d in range(2, 8):
+        assert not is_generic(build_surface_model("hexagon", 1, d), d), d
 
 
 def test_tangent_data_at_a_point():
