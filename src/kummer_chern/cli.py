@@ -2,13 +2,14 @@
 
 compute, hilbert and genus format their numbers once and render them as a
 table, JSON records or CSV rows.  A compute JSON record carries the n > 8
-"advisories" that its table prints, when there are any.
+"advisories" that its table prints, when there are any.  Each handler
+returns its text; ``main`` alone writes it and chooses the exit code.
 
 Exit codes: 0 success, 1 verification mismatch or a failed internal check
 (one "check failed:" line on stderr; the Hilbert Euler check is one of the
-library's), 2 invalid configuration (including
-an --out file that cannot be written), 3 genericity failure (the
-explicitly requested weights are degenerate).
+library's), 2 invalid configuration (every invalid argument is the
+parser's usage error; an --out file that cannot be written is one line),
+3 genericity failure (the explicitly requested weights are degenerate).
 """
 
 from __future__ import annotations
@@ -58,6 +59,20 @@ def _parse_weights(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an int with low <= value (<= high, if given)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kummer-chern",
@@ -81,48 +96,40 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("compute", help="Chern numbers of the Kummer varieties")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_in(1), required=True)
     common(p)
+    p.set_defaults(handler=cmd_compute)
 
     p = sub.add_parser("verify", help="compare against the embedded reference table")
-    p.add_argument("--n-max", type=int, default=REFERENCE_N_MAX)
+    p.add_argument("--n-max", type=_int_in(1, REFERENCE_N_MAX), default=REFERENCE_N_MAX)
     common(p, with_format=False)
+    p.set_defaults(handler=cmd_verify, out=None)
 
     p = sub.add_parser("hilbert", help="Chern numbers of a Hilbert scheme of points")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(0), required=True)
     common(p)
+    p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("genus", help="evaluate a genus preset on the Kummer tables")
     p.add_argument("--name", choices=GENUS_PRESETS, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_in(1), required=True)
     common(p)
+    p.set_defaults(handler=cmd_genus)
 
     return parser
 
 
-def _emit(args, records, header, rows, lines) -> int:
-    """Write the --format text; return EXIT_OK, or EXIT_BAD_CONFIG if --out fails."""
+def _render(args, records, header, rows, lines) -> str:
+    """The text of ``args.format``: JSON records, CSV rows or table lines."""
     if args.format == "json":
-        text = render_json(records)
-    elif args.format == "csv":
+        return render_json(records)
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = "\n".join(lines) + "\n"
-    out = args.out
-    if not out:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    return EXIT_OK
+        return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def render_json(records: list[dict]) -> str:
@@ -144,10 +151,7 @@ def _kummer_results(args) -> list[KummerResult]:
     return [kummer_chern_numbers(model, n) for n in ns]
 
 
-def cmd_compute(args) -> int:
-    if args.n_max < 1:
-        print("n-max must be at least 1", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_compute(args) -> str:
     records, rows, lines = [], [], []
     for r in _kummer_results(args):
         numbers = _chern_strings(r.chern)
@@ -164,18 +168,13 @@ def cmd_compute(args) -> int:
         lines.append(f"n={r.n}  dimension={r.dimension}  surface={args.surface}")
         lines.extend(f"  {key} | {value}" for key, value in numbers.items())
         lines.extend(f"  advisory: {note}" for note in r.advisories)
-    return _emit(args, records, ("n", "partition_key", "value"), rows, lines)
+    return _render(args, records, ("n", "partition_key", "value"), rows, lines)
 
 
-def cmd_verify(args) -> int:
-    if not 1 <= args.n_max <= REFERENCE_N_MAX:
-        print(
-            f"verify covers 1 <= n-max <= {REFERENCE_N_MAX}, got {args.n_max}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_CONFIG
+def cmd_verify(args) -> tuple[str, bool]:
+    """The mismatch lines and the count line, and whether anything mismatched."""
     matched = total = 0
-    diffs: list[str] = []
+    lines: list[str] = []
     for result in _kummer_results(args):
         if result.n == 1:  # the point; the reference starts at n = 2
             continue
@@ -188,19 +187,15 @@ def cmd_verify(args) -> int:
             if want == got:
                 matched += 1
             else:
-                diffs.append(
+                lines.append(
                     f"n={n} {format_chern_key(mu)} expected={want} got={got}"
                 )
-    for line in diffs:
-        print(line)
-    print(f"{matched} of {total} entries match")
-    return EXIT_OK if not diffs else EXIT_MISMATCH
+    mismatched = bool(lines)
+    lines.append(f"{matched} of {total} entries match")
+    return "\n".join(lines) + "\n", mismatched
 
 
-def cmd_hilbert(args) -> int:
-    if args.k < 0:
-        print("k must be nonnegative", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_hilbert(args) -> str:
     model = find_generic_model(args.surface, args.k, weights=args.weights)
     # the library has checked the top Chern number against Goettsche's series
     table = hilbert_chern_numbers(model, args.k)
@@ -221,13 +216,10 @@ def cmd_hilbert(args) -> int:
         f"  euler cross-check: ok (top Chern number {table.top()})",
         *(f"  {key} | {value}" for key, value in numbers.items()),
     ]
-    return _emit(args, [record], ("k", "partition_key", "value"), rows, lines)
+    return _render(args, [record], ("k", "partition_key", "value"), rows, lines)
 
 
-def cmd_genus(args) -> int:
-    if args.n_max < 1:
-        print("n-max must be at least 1", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_genus(args) -> str:
     results = _kummer_results(args)
     ell = genus_log_coefficients(args.name, 2 * (args.n_max - 1))
     values = {str(r.n): str(evaluate_genus(r.chern, ell)) for r in results}
@@ -236,26 +228,31 @@ def cmd_genus(args) -> int:
         f"{args.name} genus on the Kummer tables, surface {args.surface}",
         *(f"  {n} | {value}" for n, value in values.items()),
     ]
-    return _emit(args, [record], ("n", "value"), values.items(), lines)
+    return _render(args, [record], ("n", "value"), values.items(), lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "compute": cmd_compute,
-        "verify": cmd_verify,
-        "hilbert": cmd_hilbert,
-        "genus": cmd_genus,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        result = args.handler(args)
     except GenericityError as exc:
         print(f"genericity failure: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
     except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    text, mismatched = result if isinstance(result, tuple) else (result, False)
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"cannot write --out {args.out}: {reason}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
+    return EXIT_MISMATCH if mismatched else EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

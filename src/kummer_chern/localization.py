@@ -69,6 +69,12 @@ FANS = {
 SURFACE_NAMES = tuple(FANS)
 
 
+def _fan(name: str) -> tuple[tuple[int, int], ...]:
+    if name not in FANS:
+        raise ValueError(f"unknown surface {name!r}")
+    return FANS[name]
+
+
 def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
     """Surface model at torus parameters (a, b); rejects zero chart weights.
 
@@ -76,9 +82,7 @@ def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
     A fan with m rays has m fixed points, so c2 = m, and c1^2 = 12 - m by
     Noether's formula (a toric surface is rational).
     """
-    if name not in FANS:
-        raise ValueError(f"unknown surface {name!r}")
-    rays = FANS[name]
+    rays = _fan(name)
     charts = tuple(
         (v2 * a - v1 * b, u1 * b - u2 * a)
         for (u1, u2), (v1, v2) in zip(rays, rays[1:] + rays[:1])
@@ -125,7 +129,7 @@ def default_weights(name: str, depth: int) -> tuple[int, int]:
     and so are the chart weights <e1, (1, b)> and <e2, (1, b)>.
     """
     d = max(depth, 1)
-    return (1, d * max(abs(c) for ray in FANS[name] for c in ray) + 1)
+    return (1, d * max(abs(c) for ray in _fan(name) for c in ray) + 1)
 
 
 def find_generic_model(

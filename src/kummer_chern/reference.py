@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
 
 from .partitions import Partition
@@ -14,12 +15,11 @@ EXPECTED_COUNTS = {2: 1, 3: 2, 4: 3, 5: 5, 6: 7, 7: 11, 8: 15}
 
 
 def _resource_bytes() -> bytes:
-    # imported here so that only the commands reading the table load it
-    from importlib import resources
-
-    return (
-        resources.files("kummer_chern") / "data" / "kummer_chern_numbers.json"
-    ).read_bytes()
+    # a plain open() beside this file: importlib.resources would load pathlib,
+    # zipfile and tempfile on every verify
+    path = os.path.join(os.path.dirname(__file__), "data", "kummer_chern_numbers.json")
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 @lru_cache(maxsize=None)

@@ -11,18 +11,13 @@ import time
 from pathlib import Path
 
 import kummer_chern
-from kummer_chern.assembly import (
-    _s1_derivative,
-    hilbert_genus_series,
-    kummer_chern_numbers,
-)
+from kummer_chern.assembly import kummer_chern_numbers
 from kummer_chern.localization import (
     find_generic_model,
     fixed_points,
     hilbert_genus,
 )
 from kummer_chern.partitions import enumerate_partitions
-from kummer_chern.polyring import zseries_log
 from kummer_chern.reference import load_reference_table, reference_for
 from kummer_chern.symfun import (
     chern_from_power_integrals,
@@ -121,8 +116,9 @@ def test_criterion_5_euler_top_chern(kummer_results_p2):
 
 def test_criterion_6_property_suites(p2_model, p1xp1_model, p2_series):
     # (a) below-top localization vanishing, k <= 8: localized_sums raises
-    # VanishingCheckError on any nonzero below-top sum, and (g) localizes
-    # every k <= 8; every twisted sum is a combination of these untwisted ones
+    # VanishingCheckError on any nonzero below-top sum, and assembling
+    # p2_series localizes every k <= 8; every twisted sum is a combination of
+    # these untwisted ones
 
     # (b) homogeneity of the z^n coefficient at weight 2(n-1)
     series = p2_series
@@ -150,10 +146,9 @@ def test_criterion_6_property_suites(p2_model, p1xp1_model, p2_series):
         for k in range(9):
             assert len(fixed_points(model, k)) == counts[k], (model.name, k)
 
-    # (g) quadratic twist dependence: d^3/ds1^3 ln H(0) vanishes through z^8
-    log_h = zseries_log(hilbert_genus_series(p2_model, 8))
-    for n, coeff in enumerate(log_h):
-        assert _s1_derivative(coeff, 3).is_zero(), n
+    # (g) quadratic twist dependence: assembling p2_series checked that
+    # d^3/ds1^3 ln H(0) vanishes through z^8, raising QuadraticCheckError
+    # otherwise (test_quadratic_check_fires_on_a_cubic_s1_term shows it fires)
 
     _report(6, "vanishing, homogeneity, integrality, odd-part zeros, "
                "positivity, n^3 divisibility, fixed-point counts, "

@@ -68,17 +68,30 @@ def test_compute_out_to_unwritable_path_is_config_error(tmp_path, capsys):
     assert not target.exists() and not target.parent.exists()
 
 
+def usage_error(capsys, *argv):
+    """stderr of a parser usage error: exit 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: kummer-chern ")
+    return captured.err
+
+
 BAD_COUNTS = {
-    ("compute", "--n-max", "0"): "n-max must be at least 1\n",
-    ("genus", "--name", "todd", "--n-max", "0"): "n-max must be at least 1\n",
-    ("hilbert", "--k", "-1"): "k must be nonnegative\n",
+    ("compute", "--n-max", "0"): "argument --n-max: must be at least 1, got 0\n",
+    ("genus", "--name", "todd", "--n-max", "0"): (
+        "argument --n-max: must be at least 1, got 0\n"
+    ),
+    ("hilbert", "--k", "-1"): "argument --k: must be at least 0, got -1\n",
 }
 
 
 @pytest.mark.parametrize("argv", list(BAD_COUNTS), ids=" ".join)
 def test_compute_rejects_bad_n_max(capsys, argv):
-    # exit 2, invalid configuration, with one stderr line
-    assert run(capsys, *argv) == (2, "", BAD_COUNTS[argv])
+    # exit 2, invalid configuration, through the parser before any work
+    err = usage_error(capsys, *argv)
+    assert err.endswith(f"kummer-chern {argv[0]}: error: {BAD_COUNTS[argv]}")
 
 
 def test_verify_small(capsys):
@@ -94,9 +107,9 @@ def test_verify_n4(capsys):
 
 
 def test_verify_rejects_out_of_range(capsys):
-    code, _, err = run(capsys, "verify", "--n-max", "9")
-    assert code == 2
-    assert "verify covers" in err
+    for n_max in ("0", "9"):
+        err = usage_error(capsys, "verify", "--n-max", n_max)
+        assert err.endswith(f"argument --n-max: must be from 1 to 8, got {n_max}\n")
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):
@@ -147,9 +160,7 @@ def test_genus_point(capsys):
 
 
 def test_genus_unknown_preset_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["genus", "--name", "elliptic", "--n-max", "2"])
-    assert exc.value.code == 2
+    usage_error(capsys, "genus", "--name", "elliptic", "--n-max", "2")
 
 
 def test_explicit_degenerate_weights_exit_3(capsys):
@@ -172,9 +183,9 @@ def test_negative_first_weight_needs_the_equals_form(capsys):
 
 
 def test_bad_weight_syntax_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["compute", "--n-max", "2", "--weights", "1;2"])
-    assert exc.value.code == 2
+    usage_error(capsys, "compute", "--n-max", "2", "--weights", "1;2")
+    err = usage_error(capsys, "compute", "--n-max", "two")
+    assert err.endswith("argument --n-max: invalid int value: 'two'\n")
 
 
 def test_p1xp1_surface(capsys):
@@ -183,10 +194,8 @@ def test_p1xp1_surface(capsys):
     assert "c2 | 24" in out
 
 
-def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.main([])
-    assert exc.value.code == 2
+def test_missing_subcommand_is_usage_error(capsys):
+    usage_error(capsys)
 
 
 def test_output_is_deterministic_across_runs(capsys):
@@ -199,12 +208,15 @@ def test_output_is_deterministic_across_runs(capsys):
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process; the dataclasses chain costs about
-    # 13 ms, and importlib.resources (only verify reads the table) about 20 ms
+    # 13 ms, and reading the reference table through importlib.resources
+    # (pathlib, zipfile, tempfile) made verify --n-max 2 about 26 ms slower
+    # under -S.  shutil is not listed: argparse itself loads it.
     src = str(Path(cli.__file__).parents[1])
     probe = (
-        "import sys; import kummer_chern.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} "
-        "& set(sys.modules)))"
+        "import sys; from kummer_chern import cli; "
+        "code = cli.main(['verify', '--n-max', '2']); "
+        "print(code, sorted({'dataclasses', 'inspect', 'importlib.resources', "
+        "'pathlib', 'zipfile', 'tempfile'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -213,7 +225,7 @@ def test_cold_import_loads_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "1 of 1 entries match\n0 []\n"
 
 
 # every (command, format) pair, pinned byte for byte

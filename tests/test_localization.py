@@ -63,8 +63,12 @@ def test_p1xp1_model():
 
 
 def test_unknown_surface():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown surface 'k3'"):
         build_surface_model("k3", 1, 2)
+    # the name is checked before the default weights are read off its fan
+    for weights in (None, (1, 2)):
+        with pytest.raises(ValueError, match="unknown surface 'foo'"):
+            find_generic_model("foo", 3, weights=weights)
 
 
 def test_tangent_weights_examples():
@@ -230,10 +234,3 @@ def test_vanishing_check_fires_on_a_corrupted_point(monkeypatch):
     m = find_generic_model("p2", 2)
     with pytest.raises(VanishingCheckError, match=r"degree 0\).*partition \(\)"):
         localized_sums(m, 2)
-
-
-def test_homogeneity_at_zero_twist():
-    m = find_generic_model("p2", 3)
-    for k in range(4):
-        genus = hilbert_genus(m, k)
-        assert genus.off_weight_part(2 * k).is_zero()
