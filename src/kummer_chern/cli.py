@@ -15,8 +15,6 @@ parser's usage error; an --out file that cannot be written is one line),
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from typing import Sequence
@@ -124,6 +122,9 @@ def _render(args, records, header, rows, lines) -> str:
     if args.format == "json":
         return render_json(records)
     if args.format == "csv":
+        import csv  # about 1 ms of every cold start that prints no CSV
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

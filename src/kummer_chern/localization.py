@@ -28,7 +28,7 @@ coefficient integrates, everything below must cancel across fixed points.
 from __future__ import annotations
 
 from math import lcm, prod
-from operator import add, mul
+from operator import mul
 from typing import Mapping, NamedTuple
 
 from .partitions import Partition, enumerate_partitions, multipartitions, sym_factor
@@ -229,6 +229,12 @@ def tangent_data(
     return TangentData(euler, tuple(map(sum, zip(*sums))))
 
 
+# fixed points per pass of localized_sums' column walk: the walk's few
+# thousand Python steps are paid once per block, its columns hold one
+# integer per point of the block
+_BLOCK = 512
+
+
 class LocalizedSums(NamedTuple):
     """Fixed-point sums for the Hilbert scheme of k points (an immutable record).
 
@@ -262,40 +268,60 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     call owns the dict that holds them, so each is built once per table and
     dropped on return.
 
-    Each point adds one integer per partition of size <= 2k.  A sum with
-    d < 2k vanishes exactly when all its numerators are zero, so the
-    below-top check reads the integers and raises VanishingCheckError on
-    the first nonzero one.  Only the top sum, the genus, is built, by one
-    exact division per partition of 2k; it is the record's one entry.
-    A model not generic up to depth k raises GenericityError first.
+    The numerators come column by column: the column of lam holds
+    (D / euler_product) * q_lam at every fixed point, and the column of
+    (j, *lam) is the column of q_j times that of lam, point by point.  The
+    partitions of size <= 2k are walked depth first from (), so only the
+    columns on the current path are alive: at most 2k, where keeping every
+    column would hold one per partition of size < 2k.  A partition that
+    has no children is summed without storing its column.  The walk takes
+    the fixed points in blocks of _BLOCK and adds up the blocks' sums, so
+    its columns hold at most 2k * _BLOCK integers at any k.
+
+    A sum with d < 2k vanishes exactly when all its numerators are zero,
+    so the below-top check reads the integers, in order of size, and raises
+    VanishingCheckError on the first nonzero one.  Only the top sum, the
+    genus, is built, by one exact division per partition of 2k; it is the
+    record's one entry.  A model not generic up to depth k raises
+    GenericityError first.
     """
     _require_generic(model, k)
     two_k = 2 * k
-    # descending order makes mu[1:] a partition that comes earlier in the list
-    mus = [mu for size in range(two_k + 1) for mu in enumerate_partitions(size)]
-    index = {mu: i for i, mu in enumerate(mus)}
-    steps = [(mu[0] - 1, index[mu[1:]]) for mu in mus[1:]]
     pieces: Pieces = {}
     points = [tangent_data(model, point, pieces=pieces) for point in fixed_points(model, k)]
     D = lcm(*(data.euler_product for data in points))
-    numerators = [0] * len(mus)
-    for data in points:
-        q = data.power_sums
-        values = [D // data.euler_product]
-        for j, parent in steps:
-            values.append(q[j] * values[parent])
-        numerators = list(map(add, numerators, values))
+    numerators = dict.fromkeys(
+        (mu for size in range(two_k + 1) for mu in enumerate_partitions(size)), 0
+    )
 
-    top = len(enumerate_partitions(two_k))
-    for mu, numerator in zip(mus[:-top], numerators):
-        if numerator:
-            raise VanishingCheckError(
-                f"below-top localization sum (degree {sum(mu)}) for k={k} on "
-                f"{model.name}{model.weights}: partition {mu} has numerator {numerator}"
-            )
+    def walk(mu: Partition, column: list[int], rest: int) -> None:
+        # children of mu put a part >= mu[0] in front; rest is 2k - |mu|
+        for part in range(mu[0] if mu else 1, rest + 1):
+            child = (part, *mu)
+            if 2 * part > rest:  # the child has no children of its own
+                numerators[child] += sum(map(mul, columns[part - 1], column))
+            else:
+                child_column = list(map(mul, columns[part - 1], column))
+                numerators[child] += sum(child_column)
+                walk(child, child_column, rest - part)
+
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        columns = list(zip(*(data.power_sums for data in block)))  # q_1 .. q_2k
+        root = [D // data.euler_product for data in block]
+        numerators[()] += sum(root)
+        walk((), root, two_k)
+
+    for size in range(two_k):
+        for mu in enumerate_partitions(size):
+            if numerators[mu]:
+                raise VanishingCheckError(
+                    f"below-top localization sum (degree {size}) for k={k} on "
+                    f"{model.name}{model.weights}: partition {mu} has numerator "
+                    f"{numerators[mu]}"
+                )
     genus = SPoly({
-        mu: Q(numerator, D * sym_factor(mu))
-        for mu, numerator in zip(mus[-top:], numerators[-top:])
+        mu: Q(numerators[mu], D * sym_factor(mu)) for mu in enumerate_partitions(two_k)
     })
     return LocalizedSums(k, two_k, {two_k: genus})
 

@@ -14,6 +14,7 @@ library's Fraction.  Both are exact; results are identical.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Mapping
 
 from .partitions import multiplicities
@@ -138,21 +139,53 @@ class SPoly:
         return " + ".join(bits)
 
 
+def _over_lcm(poly: SPoly) -> tuple[dict[Monomial, int], int]:
+    # poly as integer numerators over the lcm of its coefficients' denominators
+    den = lcm(*(int(c.denominator) for c in poly.terms.values()))
+    return {
+        m: int(c.numerator) * (den // int(c.denominator)) for m, c in poly.terms.items()
+    }, den
+
+
 def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """Formal logarithm of a series with constant coefficient 1.
 
     Same value as sum_{m>=1} (-1)^(m+1) (H-1)^m / m truncated at the order
-    of H, computed through the derivative recurrence.
+    of H, computed through the derivative recurrence
+
+        n L_n = n H_n - sum_{0<j<n} j L_j H_{n-j}
+
+    on integers: each H_n is written as integer numerators over the lcm of
+    its coefficients' denominators, each L_n is built over the lcm of the
+    denominators of the terms on the right, times n, and then reduced by
+    the gcd of that denominator and all its numerators.  Only the returned
+    coefficients are rationals.
     """
     if not H[0].is_one():
         raise ValueError("log needs constant coefficient 1")
-    L = [SPoly()]
+    h = [_over_lcm(c) for c in H]
+    logs: list[tuple[dict[Monomial, int], int]] = [({}, 1)]
+    out = [SPoly()]
     for n in range(1, len(H)):
-        acc = H[n]
+        # (factor, numerators, denominator) of each term of n L_n
+        terms = [(n, *h[n])]
         for j in range(1, n):
-            acc = acc - (L[j] * H[n - j]).scale(Q(j, n))
-        L.append(acc)
-    return tuple(L)
+            (lj, lden), (hk, hden) = logs[j], h[n - j]
+            if lj and hk:
+                terms.append((-j, combo_mul(lj, hk), lden * hden))
+        den = lcm(*(t[2] for t in terms))
+        acc: dict[Monomial, int] = {}
+        for factor, numerators, d in terms:
+            factor *= den // d
+            for m, c in numerators.items():
+                acc[m] = acc.get(m, 0) + factor * c
+        acc = {m: c for m, c in acc.items() if c}
+        g = gcd(n * den, *acc.values())
+        acc = {m: c // g for m, c in acc.items()}
+        den = n * den // g
+        logs.append((acc, den))
+        out.append(_wrap({m: Q(c, den) for m, c in acc.items()}))
+    return tuple(out)
 
 
 def zseries_euler_sq(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:

@@ -115,11 +115,39 @@ def test_closed_form_oracles_reject_corrupted_inputs(p2):
         _checked_table("n=3", genus, 4, 109)
 
 
+# every entry of the p2 table at n = 9, above the reference table
+NINE = {
+    (2, 2, 2, 2, 2, 2, 2, 2): 35447947999488,
+    (4, 2, 2, 2, 2, 2, 2): 13129602781824,
+    (4, 4, 2, 2, 2, 2): 4862661530400,
+    (4, 4, 4, 2, 2): 1800797040144,
+    (4, 4, 4, 4): 666853820172,
+    (6, 2, 2, 2, 2, 2): 2332758616128,
+    (6, 4, 2, 2, 2): 864167470848,
+    (6, 4, 4, 2): 320117226120,
+    (6, 6, 2, 2): 153694101888,
+    (6, 6, 4): 56953381608,
+    (8, 2, 2, 2, 2): 215605377504,
+    (8, 4, 2, 2): 79938804096,
+    (8, 4, 4): 29638792620,
+    (8, 6, 2): 14239224576,
+    (8, 8): 1322820801,
+    (10, 2, 2, 2): 10441752768,
+    (10, 4, 2): 3878495784,
+    (10, 6): 692780364,
+    (12, 2, 2): 254566800,
+    (12, 4): 94850190,
+    (14, 2): 2685636,
+    (16,): 9477,
+}
+
+
 def test_closed_forms_hold_beyond_the_reference_table():
     model = find_generic_model("p2", 9)
     nine = kummer_chern_numbers(model, 9)
     assert nine.chern.top() == 9**3 * sigma1(9) == 9477
     assert nine.advisories == ()
+    assert nine.chern.numbers == NINE
 
 
 def test_smaller_n_is_served_from_the_longest_series(monkeypatch):

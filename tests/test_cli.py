@@ -208,15 +208,16 @@ def test_output_is_deterministic_across_runs(capsys):
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process; the dataclasses chain costs about
-    # 13 ms, and reading the reference table through importlib.resources
+    # 13 ms, reading the reference table through importlib.resources
     # (pathlib, zipfile, tempfile) made verify --n-max 2 about 26 ms slower
-    # under -S.  shutil is not listed: argparse itself loads it.
+    # under -S, and csv, needed only by --format csv, costs about 1 ms.
+    # shutil is not listed: argparse itself loads it.
     src = str(Path(cli.__file__).parents[1])
     probe = (
         "import sys; from kummer_chern import cli; "
         "code = cli.main(['verify', '--n-max', '2']); "
         "print(code, sorted({'dataclasses', 'inspect', 'importlib.resources', "
-        "'pathlib', 'zipfile', 'tempfile'} & set(sys.modules)))"
+        "'pathlib', 'zipfile', 'tempfile', 'csv'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],

@@ -234,3 +234,26 @@ def test_vanishing_check_fires_on_a_corrupted_point(monkeypatch):
     m = find_generic_model("p2", 2)
     with pytest.raises(VanishingCheckError, match=r"degree 0\).*partition \(\)"):
         localized_sums(m, 2)
+
+
+def test_vanishing_check_reads_every_below_top_degree(monkeypatch):
+    # a corrupted q_3 leaves degrees 0..2 intact, so only a kernel that
+    # computes the degree-3 numerators sees it
+    import kummer_chern.localization as localization
+
+    original = localization.tangent_data
+    calls = []
+
+    def corrupting_data(model, point, **kwargs):
+        data = original(model, point, **kwargs)
+        calls.append(None)
+        if len(calls) != 1:  # the first fixed point only
+            return data
+        q = list(data.power_sums)
+        q[2] += 1
+        return data._replace(power_sums=tuple(q))
+
+    monkeypatch.setattr(localization, "tangent_data", corrupting_data)
+    m = find_generic_model("p2", 2)
+    with pytest.raises(VanishingCheckError, match=r"degree 3\).*partition \(3,\)"):
+        localized_sums(m, 2)

@@ -159,6 +159,32 @@ def test_log_of_product_is_sum_of_logs(ta, tb):
     assert zseries_log(AB) == zseries_add(zseries_log(A), zseries_log(B))
 
 
+def test_zseries_log_on_large_coprime_denominators():
+    # denominators near 2^61 that share no factor, a zero z^2 coefficient,
+    # and even numerators, so L_2 = -H_1^2 / 2 loses a factor 2 to the gcd
+    p, q, r = 2**61 - 1, 2**61, 3**38
+    H = (
+        spoly_one(),
+        SPoly({(1,): Q(6, p), (2,): Q(-10, q)}),
+        SPoly(),
+        SPoly({(3,): Q(4, r), (2, 1): Q(p, q * r)}),
+        SPoly({(): Q(1, p * r), (1, 1, 1, 1): Q(-2, 3)}),
+        SPoly({(4, 1): Q(q, p), (5,): Q(-r, p * q)}),
+    )
+    L = zseries_log(H)
+    assert L[2] == (H[1] * H[1]).scale(Q(-1, 2))
+    assert zseries_exp(L) == H
+    # the defining sum, sum_m (-1)^(m+1) (H - 1)^m / m, through z^5
+    X = (SPoly(), *H[1:])
+    power, literal = X, (SPoly(),) * 6
+    for m in range(1, 6):
+        literal = zseries_add(literal, tuple(c.scale(Q((-1) ** (m + 1), m)) for c in power))
+        power = zseries_mul(power, X)
+    assert L == literal
+    S = (SPoly(), *H[1:])
+    assert zseries_log(zseries_exp(S)) == S
+
+
 def test_euler_square_operator():
     H = tuple(SPoly.constant(x) for x in [5, 1, 0, 1])
     out = zseries_euler_sq(H)
