@@ -10,6 +10,11 @@ fixed point as a literal truncated exponential, the exponential of a scalar
 series as the sum of its powers, and the elementary symmetric functions in
 the power-sum basis by their closed form, the inverse of the library's one
 transition matrix.
+
+A truncated series is a plain tuple of SPoly coefficients, handled by the
+zseries_* helpers.  The literal localization oracle (fixed_point_contribution,
+localized_twisted_sums) reads each point's tangent data from
+direct_tangent_data, so it shares no tangent-data code with the kernel.
 """
 
 from __future__ import annotations
@@ -18,17 +23,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from kummer_chern.localization import (
     FixedPoint,
     SurfaceModel,
     TangentData,
     fixed_points,
-    tangent_data,
 )
 from kummer_chern.partitions import Partition, enumerate_partitions, sym_factor
-from kummer_chern.polyring import Monomial, Q, SPoly, combo_mul
+from kummer_chern.polyring import Q, SPoly, combo_mul
 from kummer_chern.symfun import Combo
 
 
@@ -238,100 +242,6 @@ def hom_tangent_weights(lam: tuple[int, ...], v1: int, v2: int) -> list[int]:
 # -- the localized class of one fixed point, term by term ---------------------
 
 
-def monomial_insert(mono: Monomial, j: int) -> Monomial:
-    """Insert one subscript into a descending tuple."""
-    for i, p in enumerate(mono):
-        if p < j:
-            return mono[:i] + (j,) + mono[i:]
-    return mono + (j,)
-
-
-class UPoly:
-    """Polynomial in the degree variable u with SPoly coefficients.
-
-    coeffs[d] is the u^d coefficient; multiplication truncates above the
-    fixed degree cap len(coeffs) - 1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[SPoly]):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("UPoly needs at least the u^0 coefficient")
-
-    @classmethod
-    def zero(cls, degree_cap: int) -> "UPoly":
-        return cls([SPoly()] * (degree_cap + 1))
-
-    @classmethod
-    def one(cls, degree_cap: int) -> "UPoly":
-        return cls([spoly_one()] + [SPoly()] * degree_cap)
-
-    @property
-    def degree_cap(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, d: int) -> SPoly:
-        return self.coeffs[d]
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        if self.degree_cap != other.degree_cap:
-            raise ValueError("degree cap mismatch")
-        return UPoly([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if not isinstance(other, UPoly):
-            return UPoly([c.scale(other) for c in self.coeffs])
-        if self.degree_cap != other.degree_cap:
-            raise ValueError("degree cap mismatch")
-        D = self.degree_cap
-        out = [SPoly() for _ in range(D + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > D:
-                    break
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return UPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "UPoly":
-        return UPoly([p.scale(c) for p in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        body = ", ".join(f"u^{d}: {c}" for d, c in enumerate(self.coeffs))
-        return f"UPoly({body})"
-
-
-def upoly_exp(E: UPoly) -> UPoly:
-    """exp of a UPoly with vanishing u^0 part, truncated at its degree cap.
-
-    Uses the derivative recurrence d*P_d = sum_j j*E_j*P_{d-j}, which is
-    exact on truncated polynomials.
-    """
-    if not E.coeffs[0].is_zero():
-        raise ValueError("exp needs a vanishing constant term")
-    D = E.degree_cap
-    P = [spoly_one()]
-    for d in range(1, D + 1):
-        acc = SPoly()
-        for j in range(1, d + 1):
-            Ej = E.coeffs[j]
-            if Ej.is_zero():
-                continue
-            acc = acc + (Ej * P[d - j]).scale(j)
-        P.append(acc.scale(Q(1, d)))
-    return UPoly(P)
-
-
 def direct_tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
     """Tangent data of a fixed point from all 2k weights at once.
 
@@ -349,35 +259,34 @@ def direct_tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
     return TangentData(prod(ws), sums)
 
 
-def fixed_point_contribution(model: SurfaceModel, point: FixedPoint, t: int) -> UPoly:
+def fixed_point_contribution(
+    model: SurfaceModel, point: FixedPoint, t: int
+) -> tuple[SPoly, ...]:
     """The localized genus class of one fixed point, over its Euler class.
 
-    Returns exp(sum_j (s_j + t*[j==1]) q_j u^j) / euler_product, truncated
-    at u-degree 2k.
+    Returns the u^0..u^2k coefficients of
+    exp(sum_j (s_j + t*[j==1]) q_j u^j) / euler_product.
     """
-    data = tangent_data(model, point, pieces={})
-    two_k = 2 * sum(map(sum, point))
+    data = direct_tangent_data(model, point)
     E = [SPoly()]
-    for j in range(1, two_k + 1):
+    for j, q in enumerate(data.power_sums, 1):
         coeff = spoly_variable(j)
         if j == 1 and t:
             coeff = coeff + SPoly.constant(t)
-        E.append(coeff.scale(data.power_sums[j - 1]))
-    return upoly_exp(UPoly(E)).scale(Q(1, data.euler_product))
+        E.append(coeff.scale(q))
+    inverse = Q(1, data.euler_product)
+    return tuple(c.scale(inverse) for c in zseries_exp(tuple(E)))
 
 
-def localized_twisted_sums(model: SurfaceModel, k: int, t: int) -> UPoly:
+def localized_twisted_sums(model: SurfaceModel, k: int, t: int) -> tuple[SPoly, ...]:
     """Sum of the literal fixed-point contributions on the k-point scheme.
 
     Degrees below 2k cancel; degree 2k is the genus twisted by t.
     """
-    W = 2 * k
-    total = [SPoly() for _ in range(W + 1)]
+    total = (SPoly(),) * (2 * k + 1)
     for fp in fixed_points(model, k):
-        c = fixed_point_contribution(model, fp, t)
-        for d in range(W + 1):
-            total[d] = total[d] + c[d]
-    return UPoly(total)
+        total = zseries_add(total, fixed_point_contribution(model, fp, t))
+    return total
 
 
 # -- polynomial and z-series arithmetic that only the tests need --------------

@@ -203,12 +203,12 @@ def test_quadratic_check_fires_on_a_cubic_s1_term(p2, monkeypatch):
         _assemble_kummer_series(p2, 3)
 
 
-def test_twisted_genus_is_the_s1_shift_of_the_untwisted_one():
+def test_twisted_genus_is_the_s1_shift_of_the_untwisted_one(extra_fans):
     # the literal twisted fixed-point sum against the s1-shift that the
     # assembly applies to the untwisted genus (at t = 0, the kernel's genus
     # itself); the same literal sums also cancel in every degree below the
-    # top, at every twist
-    for name, depth in (("p2", 5), ("p1xp1", 4)):
+    # top, at every twist.  F2's dual entries reach 2, beyond the presets'.
+    for name, depth in (("p2", 5), ("p1xp1", 4), ("f2", 3)):
         model = find_generic_model(name, depth)
         for k in range(depth + 1):
             two_k = 2 * k

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kummer_chern.localization import (
@@ -124,6 +126,33 @@ def test_default_weights_read_the_bound_off_the_fan(extra_fans):
         assert not is_generic(build_surface_model("hexagon", 1, d), d), d
 
 
+def test_is_generic_is_no_zero_tangent_weight(extra_fans):
+    # is_generic decides on hooks; by definition a model is generic to depth
+    # d when no tangent weight of a partition of size 1..d vanishes in any
+    # chart.  Weights with a zero chart weight are rejected before that.
+    rng = random.Random(20)
+    cases = degenerate = 0
+    for name in SURFACE_NAMES + tuple(extra_fans):
+        for _ in range(150):
+            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+            try:
+                m = build_surface_model(name, a, b)
+            except GenericityError:
+                continue
+            generic = True
+            for d in range(7):
+                generic = generic and all(
+                    0 not in tangent_weights(chart, lam)
+                    for lam in enumerate_partitions(d)
+                    for chart in m.charts
+                )
+                assert is_generic(m, d) == generic, (name, (a, b), d)
+                cases += 1
+                degenerate += not generic
+    # both answers occur, so the comparison is not vacuous
+    assert 0 < degenerate < cases
+
+
 def test_tangent_data_at_a_point():
     m = build_surface_model("p2", 1, 2)
     fp = fixed_points(m, 1)[0]
@@ -201,7 +230,7 @@ def test_contribution_of_empty_subscheme_is_one():
     m = build_surface_model("p2", 1, 2)
     fp = fixed_points(m, 0)[0]
     c = fixed_point_contribution(m, fp, 1)
-    assert c.degree_cap == 0 and c[0].is_one()
+    assert len(c) == 1 and c[0].is_one()
 
 
 def test_hilbert_genus_of_one_point():

@@ -10,12 +10,9 @@ from kummer_chern.polyring import (
 )
 
 from oracles import (
-    UPoly,
-    monomial_insert,
     spoly_div,
     spoly_one,
     spoly_variable,
-    upoly_exp,
     zseries_add,
     zseries_exp,
     zseries_mul,
@@ -38,8 +35,6 @@ s = spoly_variable
 def test_monomial_helpers():
     assert monomial_mul((3, 1), (2, 2, 1)) == (3, 2, 2, 1, 1)
     assert monomial_mul((), (5,)) == (5,)
-    assert monomial_insert((3, 1), 2) == (3, 2, 1)
-    assert monomial_insert((), 4) == (4,)
 
 
 def test_mul_merges_monomials():
@@ -82,45 +77,43 @@ def test_ring_axioms(a, b, c):
     assert a + (b + c) == (a + b) + c
 
 
-def test_upoly_exp_single_variable():
-    E = UPoly([SPoly(), s(1).scale(3), SPoly()])
-    expected = UPoly(
-        [spoly_one(), s(1).scale(3), SPoly({(1, 1): Q(9, 2)})]
-    )
-    assert upoly_exp(E) == expected
+def test_zseries_exp_single_variable():
+    E = (SPoly(), s(1).scale(3), SPoly())
+    expected = (spoly_one(), s(1).scale(3), SPoly({(1, 1): Q(9, 2)}))
+    assert zseries_exp(E) == expected
 
 
-def test_upoly_exp_zero_is_one():
-    assert upoly_exp(UPoly.zero(3)) == UPoly.one(3)
+def test_zseries_exp_zero_is_one():
+    assert zseries_exp((SPoly(),) * 4) == zseries_one(3)
 
 
-def test_upoly_exp_two_terms():
+def test_zseries_exp_two_terms():
     # exp(3 s1 u + 5 s2 u^2) to second order, frozen from the hand expansion
-    E = UPoly([SPoly(), s(1).scale(3), s(2).scale(5)])
-    result = upoly_exp(E)
+    E = (SPoly(), s(1).scale(3), s(2).scale(5))
+    result = zseries_exp(E)
     assert result[0].is_one()
     assert result[1] == s(1).scale(3)
     assert result[2] == SPoly({(1, 1): Q(9, 2), (2,): 5})
 
 
-def test_upoly_exp_needs_zero_constant():
+def test_zseries_exp_needs_zero_constant():
     with pytest.raises(ValueError):
-        upoly_exp(UPoly.one(2))
+        zseries_exp(zseries_one(2))
 
 
-def test_upoly_mul_truncates_degree():
-    u1 = UPoly([SPoly(), spoly_one()])
-    assert (u1 * u1)[1].is_zero()  # u^2 truncated away at degree cap 1
-    wide = UPoly([SPoly(), spoly_one(), SPoly()])
-    assert (wide * wide)[2].is_one()
+def test_zseries_mul_truncates_order():
+    u1 = (SPoly(), spoly_one())
+    assert zseries_mul(u1, u1)[1].is_zero()  # u^2 truncated away at order 1
+    wide = (SPoly(), spoly_one(), SPoly())
+    assert zseries_mul(wide, wide)[2].is_one()
 
 
 @settings(max_examples=40, deadline=None)
 @given(spolys, spolys)
 def test_exp_of_sum_is_product_of_exps(a, b):
-    za = UPoly([SPoly(), a, SPoly()])
-    zb = UPoly([SPoly(), b, SPoly()])
-    assert upoly_exp(za + zb) == upoly_exp(za) * upoly_exp(zb)
+    za = (SPoly(), a, SPoly())
+    zb = (SPoly(), b, SPoly())
+    assert zseries_exp(zseries_add(za, zb)) == zseries_mul(zseries_exp(za), zseries_exp(zb))
 
 
 def test_zseries_log_scalar_geometric():
