@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import perm
 from typing import NamedTuple
 
-from .localization import CheckError, SurfaceModel, hilbert_genus
+from .localization import CheckError, SurfaceModel, hilbert_genus, tangent_pieces
 from .partitions import Partition
 from .polyring import Q, SPoly, zseries_euler_sq, zseries_log
 from .reference import REFERENCE_N_MAX
@@ -63,10 +63,14 @@ def hilbert_genus_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
     Its z^k coefficient is the genus of the Hilbert scheme of k points,
     homogeneous of weight 2k.  The twisted series H(t) is H(0) with s1
     shifted by t.
+
+    This call owns the tangent pieces of the series: it builds them once,
+    for n_max, passes them to every table and drops them on return.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    return tuple(hilbert_genus(model, k) for k in range(n_max + 1))
+    pieces = tangent_pieces(model, n_max)
+    return tuple(hilbert_genus(model, k, pieces=pieces) for k in range(n_max + 1))
 
 
 # the one store: the model assembled last and its longest Kummer series

@@ -27,8 +27,9 @@ coefficient integrates, everything below must cancel across fixed points.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm, prod
-from operator import mul
+from operator import add, itemgetter, mul
 from typing import Mapping, NamedTuple
 
 from .partitions import Partition, enumerate_partitions, multipartitions, sym_factor
@@ -159,22 +160,29 @@ def fixed_points(model: SurfaceModel, k: int) -> list[FixedPoint]:
     return multipartitions(k, len(model.charts))
 
 
-def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
-    """The 2|lam| tangent weights of the punctual piece in one chart.
+def _arm_legs(lam: Partition) -> list[tuple[int, int]]:
+    """(arm, leg) of each cell of lam, row by row.
 
-    Cells are visited row by row; the cell (r, c) has arm lam[r] - c - 1
-    and leg cols[c] - r - 1, where cols[c] is the length of column c.
+    The cell (r, c) has arm lam[r] - c - 1 and leg cols[c] - r - 1, where
+    cols[c] is the length of column c.
     """
-    v1, v2 = chart
     cols = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
-    out = []
-    for r, part in enumerate(lam):
-        for c in range(part):
-            arm = part - c - 1
-            leg = cols[c] - r - 1
-            out.append((arm + 1) * v1 - leg * v2)
-            out.append(-arm * v1 + (leg + 1) * v2)
-    return out
+    return [
+        (part - c - 1, cols[c] - r - 1)
+        for r, part in enumerate(lam)
+        for c in range(part)
+    ]
+
+
+def _cell_weights(chart: tuple[int, int], arm: int, leg: int) -> tuple[int, int]:
+    """The two tangent weights of a cell with this arm and leg in the chart."""
+    v1, v2 = chart
+    return (arm + 1) * v1 - leg * v2, -arm * v1 + (leg + 1) * v2
+
+
+def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
+    """The 2|lam| tangent weights of the punctual piece in one chart, cell by cell."""
+    return [w for arm, leg in _arm_legs(lam) for w in _cell_weights(chart, arm, leg)]
 
 
 class TangentData(NamedTuple):
@@ -182,26 +190,46 @@ class TangentData(NamedTuple):
 
     An immutable record; ``_replace`` makes a modified copy.  The same
     record holds one chart's piece of a fixed point: the weights of one
-    partition in one chart, through their power sums up to the same 2k.
-    The 2k power sums of the 2k weights fix the weights as a multiset.
+    partition in one chart, through their power sums up to 2n for the
+    largest n the pieces serve.  The 2k power sums of the 2k weights fix
+    the weights as a multiset.
     """
 
     euler_product: int
     power_sums: tuple[int, ...]  # q_j = sum w_i^j for j = 1..2k
 
 
-# per-chart pieces of the fixed points of one table, keyed by (chart, lam, 2k)
-Pieces = dict[tuple[tuple[int, int], Partition, int], TangentData]
+# the per-chart pieces of a model's fixed points, keyed by (chart, lam)
+Pieces = dict[tuple[tuple[int, int], Partition], TangentData]
 
 
-def _piece(chart: tuple[int, int], lam: Partition, two_k: int) -> TangentData:
-    ws = tangent_weights(chart, lam)
-    powers = ws
-    sums = []
-    for _ in range(two_k):
-        sums.append(sum(powers))
-        powers = list(map(mul, powers, ws))
-    return TangentData(prod(ws), tuple(sums))
+def tangent_pieces(model: SurfaceModel, n: int) -> Pieces:
+    """Every (chart, lam) piece with 1 <= |lam| <= n, power sums through 2n.
+
+    A cell's two weights depend only on its (arm, leg), and every cell of a
+    partition of size <= n has arm + leg <= n - 1.  So each chart raises the
+    weights of those n(n+1)/2 hooks to the powers 1..2n, one C-level map
+    per power, and a piece is the product and the sums of its cells' entries.
+    The cells' indices depend on lam only and are shared by the charts.
+    """
+    hooks = [(arm, leg) for arm in range(n) for leg in range(n - arm)]
+    index = {hook: (2 * i, 2 * i + 1) for i, hook in enumerate(hooks)}
+    cells = {  # lam -> its cells' two weights in a chart's list of hook weights
+        lam: itemgetter(*(i for hook in _arm_legs(lam) for i in index[hook]))
+        for size in range(1, n + 1)
+        for lam in enumerate_partitions(size)
+    }
+    pieces: Pieces = {}
+    for chart in model.charts:
+        weights = [w for arm, leg in hooks for w in _cell_weights(chart, arm, leg)]
+        rows = [weights]
+        for _ in range(2 * n - 1):
+            rows.append(list(map(mul, rows[-1], weights)))
+        for lam, take in cells.items():
+            pieces[chart, lam] = TangentData(
+                prod(take(weights)), tuple(map(sum, map(take, rows)))
+            )
+    return pieces
 
 
 def tangent_data(
@@ -210,23 +238,21 @@ def tangent_data(
     """Tangent data at a fixed point of the Hilbert scheme of k points.
 
     The tangent space is the direct sum of one piece per chart, so the
-    Euler products multiply and the power sums q_1..q_2k add.  Each
-    (chart, lam) piece is built once and kept in ``pieces``: the
-    localized_sums call passes the dict it owns for its table, whose
-    points share most pieces.
+    Euler products multiply and the power sums q_1..q_2k add.  This is a
+    lookup: ``pieces`` (see tangent_pieces) holds every piece the point
+    needs, with power sums through at least 2k, and the sums are added with
+    chained maps and cut at 2k.
     """
     two_k = 2 * sum(map(sum, point))
     euler = 1
-    sums = []
+    sums = None
     for chart, lam in zip(model.charts, point):
         if lam:  # an empty partition adds no weights
-            key = (chart, lam, two_k)
-            piece = pieces.get(key)
-            if piece is None:
-                piece = pieces[key] = _piece(chart, lam, two_k)
+            piece = pieces[chart, lam]
             euler *= piece.euler_product
-            sums.append(piece.power_sums)
-    return TangentData(euler, tuple(map(sum, zip(*sums))))
+            q = piece.power_sums
+            sums = q if sums is None else map(add, sums, q)
+    return TangentData(euler, tuple(islice(sums or (), two_k)))
 
 
 # fixed points per pass of localized_sums' column walk: the walk's few
@@ -245,8 +271,9 @@ class LocalizedSums(NamedTuple):
     stored.  weight_cap is always 2k; it is kept only because
     perfbench/spans.table_stats reads it.
 
-    The per-chart pieces the fixed points were assembled from are owned by
-    the localized_sums call that built the record and are not kept in it.
+    The per-chart pieces the fixed points were assembled from are not kept
+    in the record: their owner is the caller that built them (see
+    localized_sums).
     """
 
     k: int
@@ -254,7 +281,9 @@ class LocalizedSums(NamedTuple):
     table: Mapping[int, SPoly]
 
 
-def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
+def localized_sums(
+    model: SurfaceModel, k: int, *, pieces: Pieces | None = None
+) -> LocalizedSums:
     """Accumulate all fixed-point data of the Hilbert scheme of k points.
 
     The coefficient of s_lam in exp(sum_j s_j q_j) is q_lam / sym_factor(lam),
@@ -264,9 +293,12 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
 
         N(lam) = sum over fixed points of (D / euler_product) * q_lam .
 
-    The fixed points share their per-chart pieces (see tangent_data).  This
-    call owns the dict that holds them, so each is built once per table and
-    dropped on return.
+    The fixed points share their per-chart pieces (see tangent_pieces), and
+    so do the tables of one series: ``pieces`` may hold pieces built for
+    any n >= k, as hilbert_genus_series passes the ones it builds once for
+    its n_max.  Without it, this call builds tangent_pieces(model, k) for
+    its own table.  ``pieces`` is keyword-only: the benchmark's tracer
+    keeps the positional arguments and hashes them.
 
     The numerators come column by column: the column of lam holds
     (D / euler_product) * q_lam at every fixed point, and the column of
@@ -287,7 +319,8 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     """
     _require_generic(model, k)
     two_k = 2 * k
-    pieces: Pieces = {}
+    if pieces is None:
+        pieces = tangent_pieces(model, k)
     points = [tangent_data(model, point, pieces=pieces) for point in fixed_points(model, k)]
     D = lcm(*(data.euler_product for data in points))
     numerators = dict.fromkeys(
@@ -326,6 +359,11 @@ def localized_sums(model: SurfaceModel, k: int) -> LocalizedSums:
     return LocalizedSums(k, two_k, {two_k: genus})
 
 
-def hilbert_genus(model: SurfaceModel, k: int) -> SPoly:
-    """Universal genus of the Hilbert scheme of k points, of weight 2k."""
-    return localized_sums(model, k).table[2 * k]
+def hilbert_genus(
+    model: SurfaceModel, k: int, *, pieces: Pieces | None = None
+) -> SPoly:
+    """Universal genus of the Hilbert scheme of k points, of weight 2k.
+
+    ``pieces`` is passed on to localized_sums.
+    """
+    return localized_sums(model, k, pieces=pieces).table[2 * k]

@@ -38,7 +38,7 @@ on a d-fold with power-sum integrals P_lam = integral of p_lam.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions, multiplicities, sym_factor
@@ -176,10 +176,26 @@ def power_integrals_from_genus_poly(g: SPoly, d: int) -> dict[Partition, object]
 
 
 def genus_value(terms: Mapping[Partition, object], ell: Sequence[object]) -> object:
-    """sum_lam c_lam prod_i l_{lam_i}: substitute l_j for s_j in sum c_lam s_lam."""
-    return sum(
-        (c * prod(ell[j - 1] for j in lam) for lam, c in terms.items()), Q(0)
+    """sum_lam c_lam prod_i l_{lam_i}: substitute l_j for s_j in sum c_lam s_lam.
+
+    The sum runs on integers.  Over common denominators, l_j = a_j / L and
+    c_lam = b_lam / C, so with m the largest number of parts of a lam
+
+        value = sum_lam b_lam * prod_i a_{lam_i} * L^(m - l(lam)) / (C * L^m) ,
+
+    and one rational is built, at the end.
+    """
+    ell = ell[: max((lam[0] for lam in terms if lam), default=0)]
+    L = lcm(*(int(x.denominator) for x in ell))
+    a = [int(x.numerator) * (L // int(x.denominator)) for x in ell]
+    C = lcm(*(int(c.denominator) for c in terms.values()))
+    m = max(map(len, terms), default=0)
+    total = sum(
+        int(c.numerator) * (C // int(c.denominator))
+        * prod(a[j - 1] for j in lam) * L ** (m - len(lam))
+        for lam, c in terms.items()
     )
+    return Q(total, C * L**m)
 
 
 def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:

@@ -155,9 +155,9 @@ def test_smaller_n_is_served_from_the_longest_series(monkeypatch):
     kummer_genus_series(model, 5)
     calls = []
 
-    def counting_sums(*args):
+    def counting_sums(*args, **kwargs):
         calls.append(args)
-        return localized_sums(*args)
+        return localized_sums(*args, **kwargs)
 
     monkeypatch.setattr(localization, "localized_sums", counting_sums)
     for n in range(1, 6):
@@ -169,6 +169,22 @@ def test_smaller_n_is_served_from_the_longest_series(monkeypatch):
     other = find_generic_model("p2", 3, weights=(1, 43))
     kummer_genus_series(other, 3)
     assert list(assembly._assembled) == [other]
+
+
+def test_series_builds_its_tangent_pieces_once(monkeypatch):
+    model = find_generic_model("p2", 5, weights=(1, 41))
+    built = []
+
+    def counting_pieces(*args):
+        built.append(args)
+        return localization.tangent_pieces(*args)
+
+    monkeypatch.setattr(assembly, "tangent_pieces", counting_pieces)
+    series = hilbert_genus_series(model, 5)
+    assert built == [(model, 5)]
+    # each table alone builds its own pieces and gives the same genus
+    for k in range(6):
+        assert localized_sums(model, k).table == {2 * k: series[k]}
 
 
 def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):

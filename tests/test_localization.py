@@ -15,6 +15,7 @@ from kummer_chern.localization import (
     is_generic,
     localized_sums,
     tangent_data,
+    tangent_pieces,
     tangent_weights,
 )
 from kummer_chern.partitions import enumerate_partitions
@@ -157,21 +158,25 @@ def test_tangent_data_at_a_point():
     m = build_surface_model("p2", 1, 2)
     fp = fixed_points(m, 1)[0]
     assert tangent_weights(m.charts[0], fp[0]) == [1, 2]
-    data = tangent_data(m, fp, pieces={})
+    data = tangent_data(m, fp, pieces=tangent_pieces(m, 1))
     assert data.euler_product == 2
     assert data.power_sums == (3, 5)
 
 
 def test_tangent_data_from_shared_pieces_matches_direct_computation():
-    # one pieces dict per table, as localized_sums shares it
+    # one pieces dict for the whole series, as hilbert_genus_series shares
+    # it, against the pieces of each table alone
     for name, k_max in (("p2", 6), ("p1xp1", 5)):
         for weights in (None, (3, 7), (-5, 11)):
             m = find_generic_model(name, k_max, weights=weights)
+            series_pieces = tangent_pieces(m, k_max)
             for k in range(k_max + 1):
-                pieces = {}
+                table_pieces = tangent_pieces(m, k)
                 for point in fixed_points(m, k):
-                    shared = tangent_data(m, point, pieces=pieces)
-                    assert shared == tangent_data(m, point, pieces={}), (name, weights, point)
+                    shared = tangent_data(m, point, pieces=series_pieces)
+                    assert shared == tangent_data(m, point, pieces=table_pieces), (
+                        name, weights, point
+                    )
                     assert shared == direct_tangent_data(m, point), (name, weights, point)
 
 

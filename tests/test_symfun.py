@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from math import factorial, prod
@@ -13,6 +14,7 @@ from kummer_chern.symfun import (
     evaluate_genus,
     format_chern_key,
     genus_log_coefficients,
+    genus_value,
     power_in_elementary_basis,
     power_integrals_from_chern,
     power_integrals_from_genus_poly,
@@ -229,6 +231,42 @@ def test_euler_preset_reads_top_chern_number():
 def test_insufficient_log_coefficients():
     with pytest.raises(ValueError):
         evaluate_genus(P2, genus_log_coefficients("todd", 1))
+
+
+def test_genus_value_matches_the_literal_fraction_sum():
+    # genus_value sums on integers over common denominators; the literal
+    # sum of c_lam * prod_i l_{lam_i} in Fractions is the reference
+    rng = random.Random(22)
+
+    def frac(x):  # int, Fraction or gmpy2 mpq
+        return Fraction(int(x.numerator), int(x.denominator))
+
+    def literal(terms, ell):
+        return sum(
+            (frac(c) * prod(frac(ell[j - 1]) for j in lam) for lam, c in terms.items()),
+            Fraction(0),
+        )
+
+    def rational():
+        return Q(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    seen_non_integral = False
+    for trial in range(60):
+        d = rng.randint(0, 9)
+        lams = rng.sample(enumerate_partitions(d), rng.randint(1, len(enumerate_partitions(d))))
+        if trial % 3 == 0:  # int-only coefficients and l_j
+            terms = {lam: rng.randint(-50, 50) for lam in lams}
+            ell = [rng.randint(-9, 9) for _ in range(d)]
+        else:
+            terms = {lam: rational() for lam in lams}
+            ell = [rational() for _ in range(d + rng.randint(0, 2))]
+        value = genus_value(terms, ell)
+        assert type(value) is type(Q(1))
+        assert frac(value) == literal(terms, ell)
+        seen_non_integral = seen_non_integral or value.denominator != 1
+    assert seen_non_integral
+    assert genus_value({}, []) == 0 and genus_value({}, [Q(1, 3)]) == 0
+    assert type(genus_value({}, [])) is type(Q(1))
 
 
 def test_genus_multiplicative_on_products_of_surfaces():
