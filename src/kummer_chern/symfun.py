@@ -2,31 +2,26 @@
 
 The Chern classes of a manifold are the elementary symmetric functions of
 its Chern roots, while localization most naturally produces power sums of
-the roots.  One transition matrix serves both directions: the expansion of
-the power sums in the elementary basis (the Girard-Waring formula),
+the roots.  Products of basis elements are indexed by partitions, and
+multiplying two indexed elements concatenates the index partitions, so a
+linear combination is just a dict mapping partitions to coefficients.
 
-    p_r = sum_{lam |- r} (-1)^(r - l(lam)) r (l(lam) - 1)! / m(lam) * e_lam
+Both directions of the conversion are one depth-first product walk over
+the partitions of the degree d: the row of mu is the product of the
+factors of its parts, and a child's row is its new part's factor times
+its parent's row, so only the rows on the current path are alive.  The
+factors have integer coefficients,
 
-where l(lam) is the number of parts and m(lam) = prod_j mult_j(lam)!.  Its
-entries are integers.  Products of basis elements are indexed by
-partitions, and multiplying two indexed elements concatenates the index
-partitions, so a linear combination is just a dict mapping partitions to
-coefficients.  The expansion of p_lam is its first factor times the cached
-expansion of the product of the remaining parts.
+    p_r    = sum_{lam |- r} (-1)^(r - l(lam)) r (l(lam) - 1)! / m(lam) * e_lam ,
+    r! e_r = sum_{nu |- r} (-1)^(r - l(nu)) r! / z_nu * p_nu
 
-Reading the Chern numbers c_mu off the power-sum integrals
-
-    P_lam = sum_mu M[lam][mu] c_mu ,   M[lam][mu] = coefficient of e_mu in p_lam,
-
-is a triangular solve: the row of lam reads only partitions mu that refine
-lam, and its diagonal entry is prod_i (-1)^(lam_i - 1) lam_i.  Walking the
-partitions from most parts to fewest, each c_lam is one exact division by
-that diagonal.  Tables of genuine manifolds are integral, so the solve
-runs on integers: an integral P_lam is carried as an int and every division
-must come out exact.  With the earlier entries integral, an entry is
-integral exactly when its power integral is integral and its row divides
-exactly, so the first inexact row is the first non-integral entry, and
-the solve raises there.
+(Girard-Waring, and Macdonald I, 2.14'), where l is the number of parts,
+m(lam) = prod_j mult_j(lam)! and z_nu = m(nu) prod_i nu_i.  The power-sum
+integrals P_lam are the rows of the p_r walk dotted with the Chern
+numbers, and each Chern number c_mu is the row of prod_i mu_i! e_mu
+dotted with the P_nu, divided exactly by prod_i mu_i!.  Each entry is
+read off its own row, independently of the others, so it is integral
+exactly when its division is exact.
 
 A genus with series f(x) = exp(sum_j l_j x^j) takes the value
 
@@ -39,43 +34,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, lcm, prod
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions, multiplicities, sym_factor
 from .polyring import Q, SPoly, combo_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
-
-
-@lru_cache(maxsize=None)
-def power_in_elementary_basis(r: int) -> Mapping[Partition, int]:
-    """Expansion of p_r in the elementary-symmetric basis (Girard-Waring).
-
-    The coefficients are integers: r (l - 1)! / m(lam) is the sum over the
-    distinct parts j of j times a multinomial coefficient of l - 1.
-    """
-    if r < 0:
-        raise ValueError("negative index")
-    if r == 0:
-        return {(): 1}
-    return {
-        lam: (-1) ** (r - len(lam)) * r * factorial(len(lam) - 1) // sym_factor(lam)
-        for lam in enumerate_partitions(r)
-    }
-
-
-@lru_cache(maxsize=None)
-def power_product_in_elementary_basis(lam: Partition) -> Combo:
-    """Expansion of p_lam in the elementary-symmetric basis, integer entries.
-
-    Cached; treat the returned dict as immutable.
-    """
-    if not lam:
-        return {(): 1}
-    return combo_mul(
-        power_in_elementary_basis(lam[0]), power_product_in_elementary_basis(lam[1:])
-    )
 
 
 class ChernTable:
@@ -120,32 +85,65 @@ class ChernTable:
         return self.numbers.get(key, 0)
 
 
+def _power_coefficient(r: int, lam: Partition) -> int:
+    # coefficient of e_lam in p_r (Girard-Waring); the division is exact
+    return (-1) ** (r - len(lam)) * r * factorial(len(lam) - 1) // sym_factor(lam)
+
+
+def _elementary_coefficient(r: int, nu: Partition) -> int:
+    # coefficient of p_nu in r! e_r: r! / z_nu counts the permutations of type nu
+    return (-1) ** (r - len(nu)) * factorial(r) // (sym_factor(nu) * prod(nu))
+
+
+def _product_rows(
+    coefficient: Callable[[int, Partition], int], d: int
+) -> Iterator[tuple[Partition, Combo]]:
+    """(mu, prod_i factor(mu_i)) for every partition mu of d, depth first.
+
+    factor(r) is {lam: coefficient(r, lam) for lam |- r}.  A child of mu
+    puts a part >= mu[0] in front, and its row is that part's factor times
+    the row of mu; it leaves a remainder of 0 or at least its part, so every
+    path ends at a partition of d.  Larger parts are tried first, so the
+    partitions come in decreasing order read from their smallest part:
+    (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1) for d = 4.
+    """
+    factors = [{(): 1}] + [
+        {lam: coefficient(r, lam) for lam in enumerate_partitions(r)}
+        for r in range(1, d + 1)
+    ]
+
+    def walk(mu: Partition, row: Combo, rest: int):
+        # rest is d - |mu|
+        if not rest:
+            yield mu, row
+            return
+        smallest = mu[0] if mu else 1
+        for part in (rest, *range(rest // 2, smallest - 1, -1)):
+            yield from walk((part, *mu), combo_mul(factors[part], row), rest - part)
+
+    return walk((), factors[0], d)
+
+
 def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTable:
     """Convert power-sum integrals P_lam (lam |- d) to Chern numbers.
 
-    Solves P_lam = sum_mu M[lam][mu] c_mu on the rows of
-    power_product_in_elementary_basis, from most parts to fewest, so every
-    c_mu a row reads is known before the row is reached.  An integral P_lam
-    is carried as an int, and c_lam is the row's remainder divided exactly
-    by its diagonal.  Raises ValueError at the first entry that is not
-    integral.
+    c_mu is the row of prod_i mu_i! e_mu in the power-sum basis dotted with
+    P, divided exactly by prod_i mu_i!.  The entries come in the order of
+    the walk (see _product_rows): (d,) first, (1, ..., 1) last.  Raises
+    ValueError at the first entry in that order that is not integral, and
+    KeyError when a P_lam is missing.
     """
     numbers = {}
-    for lam in sorted(enumerate_partitions(d), key=len, reverse=True):
+    for mu, row in _product_rows(_elementary_coefficient, d):
         try:
-            total = P[lam]
-        except KeyError:
-            raise KeyError(f"power integral for {lam} missing") from None
-        if total.denominator == 1:
-            total = int(total)
-        row = power_product_in_elementary_basis(lam)
-        for mu, c in row.items():
-            if mu != lam:
-                total -= c * numbers[mu]
-        diagonal = row[lam]
-        if type(total) is not int or total % diagonal:
-            raise ValueError(f"entry {lam} = {Q(total, diagonal)} is not integral")
-        numbers[lam] = total // diagonal
+            total = sum(c * P[nu] for nu, c in row.items())
+        except KeyError as exc:
+            raise KeyError(f"power integral for {exc.args[0]} missing") from None
+        scale = prod(map(factorial, mu))
+        # non-integral P_nu can sum to an integral Fraction: test the value
+        if total.denominator != 1 or int(total) % scale:
+            raise ValueError(f"entry {mu} = {Q(total, scale)} is not integral")
+        numbers[mu] = int(total) // scale
     return ChernTable(d, numbers)
 
 
@@ -154,14 +152,10 @@ def power_integrals_from_chern(table: ChernTable) -> dict[Partition, object]:
 
     The rows are integral, so an integral table gives int entries.
     """
-    d = table.degree
-    out = {}
-    for lam in enumerate_partitions(d):
-        total = 0
-        for mu, c in power_product_in_elementary_basis(lam).items():
-            total += c * table[mu]
-        out[lam] = total
-    return out
+    return {
+        lam: sum(c * table[mu] for mu, c in row.items())
+        for lam, row in _product_rows(_power_coefficient, table.degree)
+    }
 
 
 def power_integrals_from_genus_poly(g: SPoly, d: int) -> dict[Partition, object]:

@@ -89,26 +89,6 @@ def cell_hooks(lam: Partition) -> list[CellHook]:
     return hooks
 
 
-def refines(mu: Partition, lam: Partition) -> bool:
-    """Whether the parts of mu split into groups with sums the parts of lam."""
-    if sum(mu) != sum(lam):
-        return False
-
-    def fill(i: int, room: tuple[int, ...]) -> bool:
-        # place mu[i:] into the remaining room of each part of lam
-        if i == len(mu):
-            return True
-        tried = set()
-        for j, r in enumerate(room):
-            if r >= mu[i] and r not in tried:
-                tried.add(r)
-                if fill(i + 1, room[:j] + (r - mu[i],) + room[j + 1 :]):
-                    return True
-        return False
-
-    return fill(0, tuple(lam))
-
-
 def sigma1(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from math import factorial, prod
 from pathlib import Path
 
 import kummer_chern
@@ -20,11 +21,13 @@ from kummer_chern.localization import (
 from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.reference import load_reference_table, reference_for
 from kummer_chern.symfun import (
+    _elementary_coefficient,
+    _power_coefficient,
+    _product_rows,
     chern_from_power_integrals,
     evaluate_genus,
     genus_log_coefficients,
     power_integrals_from_genus_poly,
-    power_product_in_elementary_basis,
 )
 
 from oracles import (
@@ -167,17 +170,28 @@ def test_criterion_7_oracle_equivalence():
                     lam, v1, v2
                 ), (lam, v1, v2)
 
-    # the transition rows the program uses against explicit polynomials in
-    # 8 variables: p_lam as its combination of e_mu
+    # the rows of both conversion walks against explicit polynomials in 8
+    # variables: p_lam as its combination of e_nu, and prod_i mu_i! e_mu as
+    # its combination of p_nu
     nvars = 8
+
+    def combination(row, expand):
+        assembled: dict = {}
+        for nu, c in row.items():
+            for expo, v in expand(nu, nvars).items():
+                assembled[expo] = assembled.get(expo, 0) + c * v
+        return {e: v for e, v in assembled.items() if v}
+
     for d in range(1, 9):
-        for lam in enumerate_partitions(d):
-            assembled: dict = {}
-            for mu, c in power_product_in_elementary_basis(lam).items():
-                for expo, v in expand_elementary_product(mu, nvars).items():
-                    assembled[expo] = assembled.get(expo, 0) + c * v
-            assembled = {e: v for e, v in assembled.items() if v}
-            assert assembled == expand_power_product(lam, nvars), lam
+        for lam, row in _product_rows(_power_coefficient, d):
+            assert combination(row, expand_elementary_product) == (
+                expand_power_product(lam, nvars)
+            ), lam
+        for mu, row in _product_rows(_elementary_coefficient, d):
+            scale = prod(map(factorial, mu))
+            assert combination(row, expand_power_product) == {
+                e: scale * v for e, v in expand_elementary_product(mu, nvars).items()
+            }, mu
 
     _report(7, "tangent weights match Hom(I, O/I); transitions match "
                "explicit symmetric polynomials through degree 8")

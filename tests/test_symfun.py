@@ -1,31 +1,36 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kummer_chern import symfun
 from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.polyring import Q, SPoly
 from kummer_chern.symfun import (
     ChernTable,
+    _elementary_coefficient,
+    _power_coefficient,
+    _product_rows,
     chern_from_power_integrals,
     evaluate_genus,
     format_chern_key,
     genus_log_coefficients,
     genus_value,
-    power_in_elementary_basis,
     power_integrals_from_chern,
     power_integrals_from_genus_poly,
-    power_product_in_elementary_basis,
 )
 
 from oracles import (
     elementary_in_power_basis,
     elementary_product_in_power_basis,
     parse_chern_key,
-    refines,
     scalar_exp,
     scalar_mul,
     surface_product_chern_table,
@@ -60,22 +65,6 @@ def test_elementary_products():
     }
 
 
-def test_power_in_elementary_basis():
-    assert dict(power_in_elementary_basis(1)) == {(1,): 1}
-    assert dict(power_in_elementary_basis(2)) == {(1, 1): 1, (2,): -2}
-
-
-def test_power_rows_are_refinement_triangular_with_integer_entries():
-    # what the back-substitution in chern_from_power_integrals relies on
-    for d in range(17):
-        for lam in enumerate_partitions(d):
-            row = power_product_in_elementary_basis(lam)
-            for mu, c in row.items():
-                assert type(c) is int, (lam, mu, c)
-                assert mu == lam or (len(mu) > len(lam) and refines(mu, lam)), (lam, mu)
-            assert row[lam] == prod((-1) ** (part - 1) * part for part in lam), lam
-
-
 def test_chern_from_power_integrals_on_surfaces():
     table = chern_from_power_integrals({(1, 1): Q(9), (2,): Q(3)}, 2)
     assert table[(1, 1)] == 9 and table[(2,)] == 3
@@ -103,7 +92,8 @@ def test_power_integrals_from_chern_round_trip_examples():
 )
 def test_conversion_round_trip_random_tables(d, max_denominator, data):
     # integral tables round-trip on ints; any other table raises at its first
-    # non-integral entry in the solve order, most parts first
+    # non-integral entry in the walk's order: decreasing, read from the
+    # smallest part, so (d,) first and (1, ..., 1) last
     values = {
         mu: data.draw(
             st.builds(
@@ -116,8 +106,8 @@ def test_conversion_round_trip_random_tables(d, max_denominator, data):
     }
     table = ChernTable(d, values)
     P = power_integrals_from_chern(table)
-    solve_order = sorted(values, key=len, reverse=True)
-    inexact = [mu for mu in solve_order if values[mu].denominator != 1]
+    walk_order = sorted(values, key=lambda mu: mu[::-1], reverse=True)
+    inexact = [mu for mu in walk_order if values[mu].denominator != 1]
     if inexact:
         first = inexact[0]
         message = f"entry {first} = {values[first]} is not integral"
@@ -127,6 +117,20 @@ def test_conversion_round_trip_random_tables(d, max_denominator, data):
     back = chern_from_power_integrals(P, d)
     assert back == table
     assert all(type(v) is int for v in back.numbers.values())
+
+
+def test_only_the_last_entry_in_walk_order_is_non_integral():
+    # every p_nu reads e_1^4 with coefficient 1, so every P_nu carries the
+    # 1/2 of c_(1,1,1,1); every earlier entry sums the P_nu to an integral
+    # Fraction (its e_mu vanishes at one variable set to 1) and must not raise
+    d = 4
+    values = {mu: Q(3 * i + 1) for i, mu in enumerate(enumerate_partitions(d))}
+    values[(1, 1, 1, 1)] = Q(1, 2)
+    P = power_integrals_from_chern(ChernTable(d, values))
+    assert all(v.denominator == 2 for v in P.values())
+    message = "entry (1, 1, 1, 1) = 1/2 is not integral"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chern_from_power_integrals(P, d)
 
 
 def test_integral_tables_convert_on_ints():
@@ -140,18 +144,51 @@ def test_integral_tables_convert_on_ints():
 
 
 def test_conversion_round_trip_is_exact_identity_up_to_degree_16():
-    # composite transition matrix on every basis vector, degree by degree.
-    # Criterion 7 checks the program's p-rows against explicit polynomials
-    # in 8 variables through degree 8, so the oracle's e-rows, being their
-    # inverse, also agree with those polynomials
+    # both walks' rows against the oracle's e-rows, degree by degree: the
+    # rows of prod r! e_r are prod_i mu_i! times them, and the rows of p_lam
+    # composed with them give the identity.  Criterion 7 checks both walks
+    # against explicit polynomials in 8 variables through degree 8
     for d in range(17):
-        for lam in enumerate_partitions(d):
+        for mu, row in _product_rows(_elementary_coefficient, d):
+            assert all(type(c) is int for c in row.values()), mu
+            scale = prod(map(factorial, mu))
+            oracle = elementary_product_in_power_basis(mu)
+            assert row == {nu: scale * b for nu, b in oracle.items()}, mu
+        for lam, row in _product_rows(_power_coefficient, d):
+            assert all(type(c) is int for c in row.values()), lam
             acc: dict = {}
-            for nu, c in power_product_in_elementary_basis(lam).items():
+            for nu, c in row.items():
                 for rho, b in elementary_product_in_power_basis(nu).items():
                     acc[rho] = acc.get(rho, 0) + c * b
             acc = {k: v for k, v in acc.items() if v}
-            assert acc == {lam: 1}
+            assert acc == {lam: 1}, lam
+
+
+def test_round_trip_at_degree_16_holds_under_a_megabyte():
+    # a fresh interpreter, so no earlier test warms a cache: only the rows on
+    # the walk's current path are alive (every row of degree 16 kept at once
+    # peaked near 3 MB)
+    probe = """
+import tracemalloc
+from kummer_chern.partitions import enumerate_partitions
+from kummer_chern.symfun import ChernTable, chern_from_power_integrals, power_integrals_from_chern
+d = 16
+keys = enumerate_partitions(d)
+table = ChernTable(d, {mu: (-1) ** i * (3 * i + 1) for i, mu in enumerate(keys)})
+tracemalloc.start()
+back = chern_from_power_integrals(power_integrals_from_chern(table), d)
+assert back == table
+print(tracemalloc.get_traced_memory()[1])
+"""
+    src = str(Path(symfun.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10**6, proc.stdout
 
 
 def test_conversion_round_trip_through_tables():
