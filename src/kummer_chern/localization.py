@@ -99,16 +99,14 @@ def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
 def is_generic(model: SurfaceModel, depth: int) -> bool:
     """True if no tangent weight vanishes for any partition of size <= depth.
 
-    Every (arm, leg) pair with arm + leg <= depth - 1 occurs in some
-    partition of size <= depth (the hook), and no other pair occurs, so
-    checking hooks is exact.
+    Every cell of such a partition is one of _hooks(depth), and each of
+    those is a cell of one (the hook with that arm and leg), so checking
+    the hooks' cell weights in each chart is exact.
     """
-    for v1, v2 in model.charts:
-        for arm in range(depth):
-            for leg in range(depth - arm):
-                if (arm + 1) * v1 == leg * v2 or (leg + 1) * v2 == arm * v1:
-                    return False
-    return True
+    hooks = _hooks(depth)
+    return all(
+        0 not in _cell_weights(chart, arm, leg) for chart in model.charts for arm, leg in hooks
+    )
 
 
 def _require_generic(model: SurfaceModel, depth: int) -> None:
@@ -180,9 +178,9 @@ def _cell_weights(chart: tuple[int, int], arm: int, leg: int) -> tuple[int, int]
     return (arm + 1) * v1 - leg * v2, -arm * v1 + (leg + 1) * v2
 
 
-def tangent_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
-    """The 2|lam| tangent weights of the punctual piece in one chart, cell by cell."""
-    return [w for arm, leg in _arm_legs(lam) for w in _cell_weights(chart, arm, leg)]
+def _hooks(n: int) -> list[tuple[int, int]]:
+    """Each (arm, leg) with arm + leg <= n - 1: the cells of partitions of size <= n."""
+    return [(arm, leg) for arm in range(n) for leg in range(n - arm)]
 
 
 class TangentData(NamedTuple):
@@ -206,13 +204,13 @@ Pieces = dict[tuple[tuple[int, int], Partition], TangentData]
 def tangent_pieces(model: SurfaceModel, n: int) -> Pieces:
     """Every (chart, lam) piece with 1 <= |lam| <= n, power sums through 2n.
 
-    A cell's two weights depend only on its (arm, leg), and every cell of a
-    partition of size <= n has arm + leg <= n - 1.  So each chart raises the
-    weights of those n(n+1)/2 hooks to the powers 1..2n, one C-level map
-    per power, and a piece is the product and the sums of its cells' entries.
-    The cells' indices depend on lam only and are shared by the charts.
+    A cell's two weights depend only on its (arm, leg), one of the n(n+1)/2
+    _hooks(n).  So each chart raises the weights of the hooks to the powers
+    1..2n, one C-level map per power, and a piece is the product and the
+    sums of its cells' entries.  The cells' indices depend on lam only and
+    are shared by the charts.
     """
-    hooks = [(arm, leg) for arm in range(n) for leg in range(n - arm)]
+    hooks = _hooks(n)
     index = {hook: (2 * i, 2 * i + 1) for i, hook in enumerate(hooks)}
     cells = {  # lam -> its cells' two weights in a chart's list of hook weights
         lam: itemgetter(*(i for hook in _arm_legs(lam) for i in index[hook]))

@@ -139,11 +139,11 @@ class SPoly:
         return " + ".join(bits)
 
 
-def _over_lcm(poly: SPoly) -> tuple[dict[Monomial, int], int]:
-    # poly as integer numerators over the lcm of its coefficients' denominators
-    den = lcm(*(int(c.denominator) for c in poly.terms.values()))
+def _over_lcm(values: Mapping) -> tuple[dict, int]:
+    # the rational values as integer numerators over the lcm of their denominators
+    den = lcm(*(int(c.denominator) for c in values.values()))
     return {
-        m: int(c.numerator) * (den // int(c.denominator)) for m, c in poly.terms.items()
+        key: int(c.numerator) * (den // int(c.denominator)) for key, c in values.items()
     }, den
 
 
@@ -163,7 +163,7 @@ def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """
     if not H[0].is_one():
         raise ValueError("log needs constant coefficient 1")
-    h = [_over_lcm(c) for c in H]
+    h = [_over_lcm(c.terms) for c in H]
     logs: list[tuple[dict[Monomial, int], int]] = [({}, 1)]
     out = [SPoly()]
     for n in range(1, len(H)):

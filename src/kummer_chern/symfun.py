@@ -33,11 +33,11 @@ on a d-fold with power-sum integrals P_lam = integral of p_lam.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions, multiplicities, sym_factor
-from .polyring import Q, SPoly, combo_mul, zseries_log
+from .polyring import Q, SPoly, _over_lcm, combo_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
@@ -48,15 +48,17 @@ class ChernTable:
 
     numbers maps each partition mu of the degree to the integral of
     c_{mu_1} c_{mu_2} ...; a genuine compact complex manifold gives integers.
-    Every key is checked to be a partition of the degree at construction.
-    Two tables are equal when their degrees and numbers are.
+    Every key is checked to be a partition of the degree (positive parts,
+    largest first) at construction.  Two tables are equal when their
+    degrees and numbers are.
     """
 
     __slots__ = ("degree", "numbers")
 
     def __init__(self, degree: int, numbers: Mapping[Partition, object]):
         for mu in numbers:
-            if sum(mu) != degree:
+            descending = list(mu) == sorted(mu, reverse=True)
+            if sum(mu) != degree or not descending or (mu and mu[-1] < 1):
                 raise ValueError(f"{mu} is not a partition of {degree}")
         self.degree = degree
         self.numbers = numbers
@@ -70,11 +72,11 @@ class ChernTable:
         return f"ChernTable(degree={self.degree!r}, numbers={self.numbers!r})"
 
     def __getitem__(self, mu) -> object:
-        """Value for a partition of the degree; omitted entries are 0."""
-        mu = tuple(mu)
-        if sum(mu) != self.degree:
-            raise KeyError(f"{mu} is not a partition of {self.degree}")
-        return self.numbers.get(mu, 0)
+        """Value for positive parts mu of the degree, in any order; omitted entries are 0."""
+        parts = tuple(sorted(mu, reverse=True))
+        if sum(parts) != self.degree or (parts and parts[-1] < 1):
+            raise KeyError(f"{tuple(mu)} is not a partition of {self.degree}")
+        return self.numbers.get(parts, 0)
 
     def sorted_keys(self) -> list[Partition]:
         return sorted(self.numbers)
@@ -180,15 +182,10 @@ def genus_value(terms: Mapping[Partition, object], ell: Sequence[object]) -> obj
     and one rational is built, at the end.
     """
     ell = ell[: max((lam[0] for lam in terms if lam), default=0)]
-    L = lcm(*(int(x.denominator) for x in ell))
-    a = [int(x.numerator) * (L // int(x.denominator)) for x in ell]
-    C = lcm(*(int(c.denominator) for c in terms.values()))
+    a, L = _over_lcm(dict(enumerate(ell, 1)))
+    b, C = _over_lcm(terms)
     m = max(map(len, terms), default=0)
-    total = sum(
-        int(c.numerator) * (C // int(c.denominator))
-        * prod(a[j - 1] for j in lam) * L ** (m - len(lam))
-        for lam, c in terms.items()
-    )
+    total = sum(c * prod(a[j] for j in lam) * L ** (m - len(lam)) for lam, c in b.items())
     return Q(total, C * L**m)
 
 

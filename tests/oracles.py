@@ -8,8 +8,8 @@ from its whole weight list at once, symmetric functions as honest
 polynomials in a finite set of variables, the localized class of each
 fixed point as a literal truncated exponential, the exponential of a scalar
 series as the sum of its powers, and the elementary symmetric functions in
-the power-sum basis by their closed form, the inverse of the library's one
-transition matrix.
+the power-sum basis by their closed form, against which the rows of the
+library's depth-first conversion walks are checked.
 
 A truncated series is a plain tuple of SPoly coefficients, handled by the
 zseries_* helpers.  The literal localization oracle (fixed_point_contribution,
@@ -222,21 +222,37 @@ def hom_tangent_weights(lam: tuple[int, ...], v1: int, v2: int) -> list[int]:
 # -- the localized class of one fixed point, term by term ---------------------
 
 
+def cell_hook_weights(chart: tuple[int, int], lam: Partition) -> list[int]:
+    """The 2|lam| tangent weights of lam in a chart (v1, v2), cell by cell.
+
+    A cell with arm a and leg l (from cell_hooks) gives (a + 1) v1 - l v2
+    and -a v1 + (l + 1) v2.
+    """
+    v1, v2 = chart
+    ws = []
+    for cell in cell_hooks(lam):
+        ws.append((cell.arm + 1) * v1 - cell.leg * v2)
+        ws.append(-cell.arm * v1 + (cell.leg + 1) * v2)
+    return ws
+
+
+def weight_data(ws: list[int], count: int) -> TangentData:
+    """The product of the weights ws and their power sums q_1..q_count.
+
+    With count >= len(ws) the power sums fix the weights as a multiset
+    (Newton), so comparing the records compares the weights.
+    """
+    return TangentData(prod(ws), tuple(sum(w**j for w in ws) for j in range(1, count + 1)))
+
+
 def direct_tangent_data(model: SurfaceModel, point: FixedPoint) -> TangentData:
     """Tangent data of a fixed point from all 2k weights at once.
 
     The weights come from the cell hooks, chart by chart; the power sums
     are taken over the whole list, not assembled from per-chart pieces.
-    The 2k power sums of the 2k weights fix the weights as a multiset
-    (Newton), so comparing them compares the weights.
     """
-    ws = []
-    for (v1, v2), lam in zip(model.charts, point):
-        for cell in cell_hooks(lam):
-            ws.append((cell.arm + 1) * v1 - cell.leg * v2)
-            ws.append(-cell.arm * v1 + (cell.leg + 1) * v2)
-    sums = tuple(sum(w**j for w in ws) for j in range(1, len(ws) + 1))
-    return TangentData(prod(ws), sums)
+    ws = [w for chart, lam in zip(model.charts, point) for w in cell_hook_weights(chart, lam)]
+    return weight_data(ws, len(ws))
 
 
 def fixed_point_contribution(

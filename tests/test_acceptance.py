@@ -14,9 +14,11 @@ from pathlib import Path
 import kummer_chern
 from kummer_chern.assembly import kummer_chern_numbers
 from kummer_chern.localization import (
+    SurfaceModel,
     find_generic_model,
     fixed_points,
     hilbert_genus,
+    tangent_pieces,
 )
 from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.reference import load_reference_table, reference_for
@@ -35,6 +37,7 @@ from oracles import (
     expand_elementary_product,
     expand_power_product,
     hom_tangent_weights,
+    weight_data,
 )
 
 
@@ -159,15 +162,18 @@ def test_criterion_6_property_suites(p2_model, p1xp1_model, p2_series):
 
 
 def test_criterion_7_oracle_equivalence():
-    # tangent weights against the module-homomorphism computation
-    pairs = [(1, 5), (5, 1), (-1, 3), (2, -7), (-3, -5), (1, 73), (73, 1)]
-    from kummer_chern.localization import tangent_weights
-
+    # the tangent pieces the pipeline builds against the module-homomorphism
+    # computation: for seven charts and every lam with |lam| <= 4, the Euler
+    # product and the power sums through 8 >= 2|lam| of the weights of
+    # Hom(I, O/I), which fix the weights as a multiset
+    charts = ((1, 5), (5, 1), (-1, 3), (2, -7), (-3, -5), (1, 73), (73, 1))
+    pieces = tangent_pieces(SurfaceModel("charts", charts, 0, len(charts), (0, 0)), 4)
+    assert len(pieces) == 77
     for k in range(1, 5):
         for lam in enumerate_partitions(k):
-            for v1, v2 in pairs:
-                assert sorted(tangent_weights((v1, v2), lam)) == hom_tangent_weights(
-                    lam, v1, v2
+            for v1, v2 in charts:
+                assert pieces[(v1, v2), lam] == weight_data(
+                    hom_tangent_weights(lam, v1, v2), 8
                 ), (lam, v1, v2)
 
     # the rows of both conversion walks against explicit polynomials in 8
@@ -193,5 +199,5 @@ def test_criterion_7_oracle_equivalence():
                 e: scale * v for e, v in expand_elementary_product(mu, nvars).items()
             }, mu
 
-    _report(7, "tangent weights match Hom(I, O/I); transitions match "
+    _report(7, "tangent pieces match Hom(I, O/I); transitions match "
                "explicit symmetric polynomials through degree 8")

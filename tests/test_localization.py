@@ -16,16 +16,16 @@ from kummer_chern.localization import (
     localized_sums,
     tangent_data,
     tangent_pieces,
-    tangent_weights,
 )
 from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.polyring import Q, SPoly
 
 from oracles import (
-    cell_hooks,
+    cell_hook_weights,
     direct_tangent_data,
     fixed_point_contribution,
     hom_tangent_weights,
+    weight_data,
 )
 
 
@@ -74,32 +74,24 @@ def test_unknown_surface():
             find_generic_model("foo", 3, weights=weights)
 
 
+def _charts_model(charts) -> SurfaceModel:
+    # a model that carries the given charts, only to build their pieces
+    return SurfaceModel("charts", tuple(charts), 0, len(charts), (0, 0))
+
+
 def test_tangent_weights_examples():
-    assert sorted(tangent_weights((1, 2), (1,))) == [1, 2]
-    assert sorted(tangent_weights((1, 5), (2,))) == [1, 2, 4, 5]
-    assert sorted(tangent_weights((1, 5), (1, 1))) == [-4, 1, 5, 10]
-
-
-def test_tangent_weights_match_the_cell_hook_oracle():
-    # column lengths give the same legs, in the same cell order, as scanning rows
-    charts = [(1, 73), (-1, 72), (-73, -72), (2, -91), (-3, 5), (7, 11)]
-    for k in range(9):
-        for lam in enumerate_partitions(k):
-            for v1, v2 in charts:
-                expected = []
-                for cell in cell_hooks(lam):
-                    expected.append((cell.arm + 1) * v1 - cell.leg * v2)
-                    expected.append(-cell.arm * v1 + (cell.leg + 1) * v2)
-                assert tangent_weights((v1, v2), lam) == expected, (v1, v2, lam)
+    # the pieces hold the product and the power sums through 2n of the weights
+    pieces = tangent_pieces(_charts_model([(1, 2), (1, 5)]), 2)
+    assert pieces[(1, 2), (1,)] == weight_data([1, 2], 4) == (2, (3, 5, 9, 17))
+    assert pieces[(1, 5), (2,)] == weight_data([1, 2, 4, 5], 4)
+    assert pieces[(1, 5), (1, 1)] == weight_data([-4, 1, 5, 10], 4)
 
 
 def test_transposed_convention_would_fail_the_oracle():
-    # arm on v2 instead of v1 gives a different multiset already for [2]
+    # arm on v2 instead of v1 (the chart's weights swapped) gives a
+    # different multiset already for [2]
     v1, v2 = 1, 5
-    transposed = []
-    for cell in cell_hooks((2,)):
-        transposed.append((cell.arm + 1) * v2 - cell.leg * v1)
-        transposed.append(-cell.arm * v2 + (cell.leg + 1) * v1)
+    transposed = cell_hook_weights((v2, v1), (2,))
     assert sorted(transposed) != hom_tangent_weights((2,), v1, v2)
 
 
@@ -143,7 +135,7 @@ def test_is_generic_is_no_zero_tangent_weight(extra_fans):
             generic = True
             for d in range(7):
                 generic = generic and all(
-                    0 not in tangent_weights(chart, lam)
+                    0 not in cell_hook_weights(chart, lam)
                     for lam in enumerate_partitions(d)
                     for chart in m.charts
                 )
@@ -157,13 +149,26 @@ def test_is_generic_is_no_zero_tangent_weight(extra_fans):
 def test_tangent_data_at_a_point():
     m = build_surface_model("p2", 1, 2)
     fp = fixed_points(m, 1)[0]
-    assert tangent_weights(m.charts[0], fp[0]) == [1, 2]
+    assert fp == ((1,), (), ()) and m.charts[0] == (1, 2)  # weights 1 and 2
     data = tangent_data(m, fp, pieces=tangent_pieces(m, 1))
     assert data.euler_product == 2
     assert data.power_sums == (3, 5)
 
 
 def test_tangent_data_from_shared_pieces_matches_direct_computation():
+    # every piece against the cell-hook oracle: column lengths give the same
+    # legs as scanning the rows below, and the power sums run through 2n
+    charts = [(1, 73), (-1, 72), (-73, -72), (2, -91), (-3, 5), (7, 11)]
+    m = _charts_model(charts)
+    pieces = tangent_pieces(m, 8)
+    assert pieces == {
+        (chart, lam): weight_data(cell_hook_weights(chart, lam), 16)
+        for k in range(1, 9)
+        for lam in enumerate_partitions(k)
+        for chart in charts
+    }
+    # the empty partition has no piece and adds no weights
+    assert tangent_data(m, ((),) * len(charts), pieces=pieces) == weight_data([], 0)
     # one pieces dict for the whole series, as hilbert_genus_series shares
     # it, against the pieces of each table alone
     for name, k_max in (("p2", 6), ("p1xp1", 5)):
@@ -197,10 +202,9 @@ def tangent_data_calls(monkeypatch):
 
 
 def test_tangent_weights_zero_weight_raises(tangent_data_calls):
-    # cell (0,0) of [2,1] has arm 1, leg 1: weight 2*1 - 1*2 = 0 in chart (1, 2);
-    # tangent_weights is the bare formula, and localized_sums rejects the model
-    # before it computes any tangent data
-    assert tangent_weights((1, 2), (2, 1))[0] == 0
+    # cell (0,0) of [2,1] has arm 1, leg 1: weight 2*1 - 1*2 = 0 in chart (1, 2),
+    # and localized_sums rejects the model before it computes any tangent data
+    assert cell_hook_weights((1, 2), (2, 1))[0] == 0
     m = build_surface_model("p2", 1, 2)
     with pytest.raises(GenericityError, match="degenerate for p2 at depth 3"):
         localized_sums(m, 3)
@@ -214,7 +218,7 @@ def test_zero_tangent_weight_raises_through_the_pieces_path(tangent_data_calls):
     # a zero chart weight is a zero tangent weight of the one-box partition:
     # it raises before localized_sums builds any piece
     zero_chart = SurfaceModel("p2", ((1, 2), (0, 1), (-2, -1)), 9, 3, (1, 2))
-    assert 0 in tangent_weights(zero_chart.charts[1], (1,))
+    assert 0 in cell_hook_weights(zero_chart.charts[1], (1,))
     with pytest.raises(GenericityError, match="degenerate for p2 at depth 1"):
         localized_sums(zero_chart, 1)
     assert tangent_data_calls == []

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kummer_chern import symfun
 from kummer_chern.partitions import enumerate_partitions
 from kummer_chern.polyring import Q, SPoly
+from kummer_chern.reference import reference_for
 from kummer_chern.symfun import (
     ChernTable,
     _elementary_coefficient,
@@ -72,6 +73,21 @@ def test_chern_from_power_integrals_on_surfaces():
     table = chern_from_power_integrals({(1, 1): Q(0), (2,): Q(-48)}, 2)
     assert table[(1, 1)] == 0 and table[(2,)] == 24
     assert chern_from_power_integrals({(): Q(1)}, 0)[()] == 1
+
+
+def test_chern_table_keys_are_partitions_and_lookups_sort_their_parts():
+    table = ChernTable(6, reference_for(4))
+    # c2 c4 is c4 c2: the parts are read in any order
+    assert table[(4, 2)] == table[(2, 4)] == table[[2, 4]] == 6784
+    assert table[(1, 1, 4)] == table[(4, 1, 1)] == 0  # an omitted entry
+    for parts in ((0, 6), (6, 0), (7, -1), (3, 2)):
+        with pytest.raises(KeyError, match="not a partition of 6"):
+            table[parts]
+    # a key that is not a partition (largest part first, every part positive)
+    for key in ((0, 2), (2, 0), (3, -1), (1, 2)):
+        with pytest.raises(ValueError, match=f"{re.escape(str(key))} is not a partition of"):
+            ChernTable(sum(key), {key: 5})
+    assert ChernTable(0, {(): 1}).top() == 1
 
 
 def test_missing_power_integral_is_reported():
