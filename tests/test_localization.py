@@ -155,7 +155,7 @@ def test_tangent_data_at_a_point():
     assert data.power_sums == (3, 5)
 
 
-def test_tangent_data_from_shared_pieces_matches_direct_computation():
+def test_tangent_weights_match_the_cell_hook_oracle():
     # every piece against the cell-hook oracle: column lengths give the same
     # legs as scanning the rows below, and the power sums run through 2n
     charts = [(1, 73), (-1, 72), (-73, -72), (2, -91), (-3, 5), (7, 11)]
@@ -169,6 +169,9 @@ def test_tangent_data_from_shared_pieces_matches_direct_computation():
     }
     # the empty partition has no piece and adds no weights
     assert tangent_data(m, ((),) * len(charts), pieces=pieces) == weight_data([], 0)
+
+
+def test_tangent_data_from_shared_pieces_matches_direct_computation():
     # one pieces dict for the whole series, as hilbert_genus_series shares
     # it, against the pieces of each table alone
     for name, k_max in (("p2", 6), ("p1xp1", 5)):
