@@ -197,11 +197,15 @@ def _hilbert_euler_number(c2: int, k: int) -> int:
     return coeffs[k]
 
 
-def _checked_table(label: str, genus: SPoly, d: int, euler: int) -> ChernTable:
-    """Chern numbers of a degree-d genus, checked integral with top number euler.
+def _checked_table(label: str, genus: SPoly, d: int, euler: int, todd: int) -> ChernTable:
+    """Chern numbers of a degree-d genus, checked against its closed forms.
 
-    label ("n=3", "k=2") starts every error message.
+    The Todd genus (the Todd l_j put for s_j in genus) must be todd, and the
+    table integral with top number euler.  label ("n=3") starts each message.
     """
+    value = genus_value(genus.terms, genus_log_coefficients("todd", d))
+    if value != todd:
+        raise TableValidationError(f"{label}: Todd genus {value}, expected {todd}")
     try:
         table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
     except ValueError as exc:
@@ -213,35 +217,25 @@ def _checked_table(label: str, genus: SPoly, d: int, euler: int) -> ChernTable:
     return table
 
 
-def _check_todd_genus(n: int, genus: SPoly) -> None:
-    """The Todd genus of the n-th member is n, for every n.
-
-    Evaluated on the z^n series coefficient by substituting the Todd log
-    coefficients l_j for s_j, independently of the Chern conversion.
-    """
-    todd = genus_value(genus.terms, genus_log_coefficients("todd", 2 * (n - 1)))
-    if todd != n:
-        raise TableValidationError(f"n={n}: Todd genus {todd}, expected {n}")
-
-
 def kummer_chern_numbers(model: SurfaceModel, n: int) -> KummerResult:
     """Chern numbers of the n-th Kummer-family member, fully validated."""
     if n < 1:
         raise ValueError("need n >= 1")
     genus = kummer_genus_series(model, n)[n]
-    _check_todd_genus(n, genus)
-    # the Euler number of the n-th member is n^3 * sigma_1(n), for every n
-    table = _checked_table(f"n={n}", genus, 2 * (n - 1), n**3 * _sigma1(n))
+    # the n-th member has Euler number n^3 * sigma_1(n) and Todd genus n
+    table = _checked_table(f"n={n}", genus, 2 * (n - 1), n**3 * _sigma1(n), n)
     return _validate_kummer_table(n, table)
 
 
 def hilbert_chern_numbers(model: SurfaceModel, k: int) -> ChernTable:
     """Chern numbers of the Hilbert scheme of k points on the surface.
 
-    Checked integral, with the top number equal to Goettsche's Euler number;
-    a failure raises TableValidationError, one "check failed:" line in the CLI.
+    Checked integral, with the top number equal to Goettsche's Euler number
+    and Todd genus 1 (a toric surface is rational, so chi(O) of S^[k] is 1:
+    Ellingsrud-Goettsche-Lehn); a failure raises TableValidationError, one
+    "check failed:" line in the CLI.
     """
     if k < 0:
         raise ValueError("need k >= 0")
     euler = _hilbert_euler_number(model.c2, k)
-    return _checked_table(f"k={k}", hilbert_genus(model, k), 2 * k, euler)
+    return _checked_table(f"k={k}", hilbert_genus(model, k), 2 * k, euler, 1)

@@ -3,11 +3,11 @@
 compute, hilbert and genus format their numbers once and render them as a
 table, JSON records or CSV rows.  A compute JSON record carries the n > 8
 "advisories" that its table prints, when there are any.  Each handler
-returns its text; ``main`` alone writes it and chooses the exit code.
+returns (text, exit code); ``main`` alone writes the text and maps errors to codes.
 
 Exit codes: 0 success, 1 verification mismatch or a failed internal check
-(one "check failed:" line on stderr; the Hilbert Euler check is one of the
-library's), 2 invalid configuration (every invalid argument is the
+(one "check failed:" line on stderr; the Hilbert Todd and Euler checks are
+the library's), 2 invalid configuration (every invalid argument is the
 parser's usage error; an --out file that cannot be written is one line),
 3 genericity failure (the explicitly requested weights are degenerate).
 """
@@ -152,7 +152,7 @@ def _kummer_results(args) -> list[KummerResult]:
     return [kummer_chern_numbers(model, n) for n in ns]
 
 
-def cmd_compute(args) -> str:
+def cmd_compute(args) -> tuple[str, int]:
     records, rows, lines = [], [], []
     for r in _kummer_results(args):
         numbers = _chern_strings(r.chern)
@@ -169,11 +169,11 @@ def cmd_compute(args) -> str:
         lines.append(f"n={r.n}  dimension={r.dimension}  surface={args.surface}")
         lines.extend(f"  {key} | {value}" for key, value in numbers.items())
         lines.extend(f"  advisory: {note}" for note in r.advisories)
-    return _render(args, records, ("n", "partition_key", "value"), rows, lines)
+    return _render(args, records, ("n", "partition_key", "value"), rows, lines), EXIT_OK
 
 
-def cmd_verify(args) -> tuple[str, bool]:
-    """The mismatch lines and the count line, and whether anything mismatched."""
+def cmd_verify(args) -> tuple[str, int]:
+    """The mismatch lines and the count line; exit 1 if anything mismatched."""
     matched = total = 0
     lines: list[str] = []
     for result in _kummer_results(args):
@@ -191,14 +191,14 @@ def cmd_verify(args) -> tuple[str, bool]:
                 lines.append(
                     f"n={n} {format_chern_key(mu)} expected={want} got={got}"
                 )
-    mismatched = bool(lines)
+    code = EXIT_MISMATCH if lines else EXIT_OK
     lines.append(f"{matched} of {total} entries match")
-    return "\n".join(lines) + "\n", mismatched
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_hilbert(args) -> str:
+def cmd_hilbert(args) -> tuple[str, int]:
     model = find_generic_model(args.surface, args.k, weights=args.weights)
-    # the library has checked the top Chern number against Goettsche's series
+    # the library has checked the Todd genus and Goettsche's Euler number
     table = hilbert_chern_numbers(model, args.k)
     count = len(fixed_points(model, args.k))
     numbers = _chern_strings(table)
@@ -217,10 +217,10 @@ def cmd_hilbert(args) -> str:
         f"  euler cross-check: ok (top Chern number {table.top()})",
         *(f"  {key} | {value}" for key, value in numbers.items()),
     ]
-    return _render(args, [record], ("k", "partition_key", "value"), rows, lines)
+    return _render(args, [record], ("k", "partition_key", "value"), rows, lines), EXIT_OK
 
 
-def cmd_genus(args) -> str:
+def cmd_genus(args) -> tuple[str, int]:
     results = _kummer_results(args)
     ell = genus_log_coefficients(args.name, 2 * (args.n_max - 1))
     values = {str(r.n): str(evaluate_genus(r.chern, ell)) for r in results}
@@ -229,20 +229,19 @@ def cmd_genus(args) -> str:
         f"{args.name} genus on the Kummer tables, surface {args.surface}",
         *(f"  {n} | {value}" for n, value in values.items()),
     ]
-    return _render(args, [record], ("n", "value"), values.items(), lines)
+    return _render(args, [record], ("n", "value"), values.items(), lines), EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.handler(args)
+        text, code = args.handler(args)
     except GenericityError as exc:
         print(f"genericity failure: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
     except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    text, mismatched = result if isinstance(result, tuple) else (result, False)
     if not args.out:
         sys.stdout.write(text)
     else:
@@ -253,7 +252,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             reason = exc.strerror or exc
             print(f"cannot write --out {args.out}: {reason}", file=sys.stderr)
             return EXIT_BAD_CONFIG
-    return EXIT_MISMATCH if mismatched else EXIT_OK
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,12 +6,9 @@ import json
 import os
 from functools import lru_cache
 
-from .partitions import Partition
+from .partitions import Partition, enumerate_partitions
 
 REFERENCE_N_MAX = 8
-
-# entries per n: 1, 2, 3, 5, 7, 11, 15 (44 in total)
-EXPECTED_COUNTS = {2: 1, 3: 2, 4: 3, 5: 5, 6: 7, 7: 11, 8: 15}
 
 
 def _resource_bytes() -> bytes:
@@ -24,7 +21,11 @@ def _resource_bytes() -> bytes:
 
 @lru_cache(maxsize=None)
 def load_reference_table() -> dict[tuple[int, Partition], int]:
-    """Map (n, partition) -> exact Chern number, for 2 <= n <= 8."""
+    """Map (n, partition) -> exact Chern number, for 2 <= n <= 8.
+
+    Member n has one entry per partition of 2(n-1) into even parts, the
+    doubles of the partitions of n - 1 (44 entries in all).
+    """
     payload = json.loads(_resource_bytes())
     table: dict[tuple[int, Partition], int] = {}
     for entry in payload["entries"]:
@@ -32,11 +33,13 @@ def load_reference_table() -> dict[tuple[int, Partition], int]:
         if key in table:
             raise ValueError(f"duplicate reference entry {key}")
         table[key] = int(entry["value"])
-    counts: dict[int, int] = {}
-    for n, _ in table:
-        counts[n] = counts.get(n, 0) + 1
-    if counts != EXPECTED_COUNTS:
-        raise ValueError(f"reference table has wrong shape: {counts}")
+    shape = {
+        (n, tuple(2 * part for part in lam))
+        for n in range(2, REFERENCE_N_MAX + 1)
+        for lam in enumerate_partitions(n - 1)
+    }
+    if table.keys() != shape:
+        raise ValueError(f"reference table has wrong shape at {sorted(table.keys() ^ shape)}")
     return table
 
 

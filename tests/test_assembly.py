@@ -9,7 +9,6 @@ from kummer_chern.assembly import (
     QuadraticCheckError,
     TableValidationError,
     _assemble_kummer_series,
-    _check_todd_genus,
     _checked_table,
     _s1_derivative,
     _validate_kummer_table,
@@ -89,10 +88,11 @@ def test_kummer_odd_part_entries_vanish_before_dropping(p2):
 
 
 def test_validation_rejects_bad_tables():
-    # s1^2 / 2 gives c1^2 = 1 and the non-integral c2 = 1/2
+    # s1^2 / 2 gives c1^2 = 1 and the non-integral c2 = 1/2; its Todd value
+    # is l_1^2 / 2 = 1/8, passed so that the integrality check is reached
     message = r"n=2: entry \(2,\) = 1/2 is not integral"
     with pytest.raises(TableValidationError, match=message):
-        _checked_table("n=2", SPoly({(1, 1): Q(1, 2)}), 2, 0)
+        _checked_table("n=2", SPoly({(1, 1): Q(1, 2)}), 2, 0, Q(1, 8))
     with pytest.raises(TableValidationError, match="odd-part"):
         _validate_kummer_table(2, ChernTable(2, {(2,): Q(24), (1, 1): Q(1)}))
     with pytest.raises(TableValidationError, match="not positive"):
@@ -106,13 +106,13 @@ def test_validation_rejects_bad_tables():
 
 def test_closed_form_oracles_reject_corrupted_inputs(p2):
     genus = kummer_genus_series(p2, 3)[3]
-    _check_todd_genus(3, genus)
-    table = _checked_table("n=3", genus, 4, 108)
+    table = _checked_table("n=3", genus, 4, 108, 3)
     assert (table[(4,)], table[(2, 2)]) == (108, 756)
-    with pytest.raises(TableValidationError, match="Todd genus"):
-        _check_todd_genus(3, genus + SPoly({(4,): 1}))
+    # + s4 adds the Todd l_4 = 1/2880 to the Todd genus 3
+    with pytest.raises(TableValidationError, match="n=3: Todd genus 8641/2880, expected 3"):
+        _checked_table("n=3", genus + SPoly({(4,): 1}), 4, 108, 3)
     with pytest.raises(TableValidationError, match="expected Euler number 109"):
-        _checked_table("n=3", genus, 4, 109)
+        _checked_table("n=3", genus, 4, 109, 3)
 
 
 # every entry of the p2 table at n = 9, above the reference table
@@ -277,13 +277,25 @@ def test_fans_beyond_the_presets_at_their_default_weights(extra_fans):
 def test_hilbert_euler_check_fires_on_a_corrupted_genus(p2, monkeypatch):
     original = assembly.hilbert_genus
 
-    def corrupted(model, k):  # + 2k s_2k takes 1 from the top Chern number
-        return original(model, k) + SPoly({(2 * k,): 2 * k})
+    def corrupted(model, k):  # + 9 s3^2 adds 1 to c6 and, as l_3 = 0, 0 to Todd
+        return original(model, k) + SPoly({(3, 3): 9})
 
     monkeypatch.setattr(assembly, "hilbert_genus", corrupted)
     with pytest.raises(
-        TableValidationError, match="k=3: top Chern number 21, expected Euler number 22"
+        TableValidationError, match="k=3: top Chern number 23, expected Euler number 22"
     ):
+        hilbert_chern_numbers(p2, 3)
+
+
+def test_hilbert_todd_check_fires_where_every_other_check_passes(p2, monkeypatch):
+    # s1^6 - 9 s3^2 keeps the k = 3 table integral with top number 22, but
+    # adds l_1^6 = 1/64 to the Todd genus 1 of the Hilbert scheme
+    corruption = SPoly({(1,) * 6: 1, (3, 3): -9})
+    genus = hilbert_genus(p2, 3) + corruption
+    assert _checked_table("k=3", genus, 6, 22, Q(65, 64)).top() == 22
+    original = assembly.hilbert_genus
+    monkeypatch.setattr(assembly, "hilbert_genus", lambda m, k: original(m, k) + corruption)
+    with pytest.raises(TableValidationError, match="k=3: Todd genus 65/64, expected 1"):
         hilbert_chern_numbers(p2, 3)
 
 

@@ -1,15 +1,18 @@
-"""The benchmark's tracer wraps names in the package; they must keep resolving.
+"""The benchmark's tracer wraps names in the package; they must keep resolving,
+and every workload's operations must keep passing the harness's gates.
 
 The harness under ``perfbench/`` has its own suite, outside this one, so a
 refactor that drops a name the tracer wraps, a field its table counts
 read, or the one tangent_data call per fixed point whose arguments it
-counts, would otherwise only show up as a failing traced benchmark run.
+counts, or that changes an output a workload checks, would otherwise only
+show up as a failing benchmark run.
 """
 
 import importlib
+import random
 from pathlib import Path
 
-from kummer_chern import assembly, localization
+from kummer_chern import assembly, cli, localization
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +57,19 @@ def test_traced_series_path_keeps_hashable_table_arguments(monkeypatch):
     calls = sum(span[0] == "localization.tangent_data" for span in tracer.spans)
     points = sum(len(localization.fixed_points(model, k)) for k in range(4))
     assert stats["points_distinct"] == points == calls
+
+
+def test_workload_operations_pass_their_own_gates(monkeypatch, capsys):
+    # every workload's set-up and measured operation, run in-process: each
+    # must exit 0 and pass the check the harness applies to its output,
+    # so a change to an output the benchmark reads (verify --n-max 1 prints
+    # "0 of 0 entries match" and exits 0) fails here before a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    entries = {"cli": cli.main, "sweep": importlib.import_module("sweep").main}
+    for name, workload in workloads.WORKLOADS.items():
+        for op in (workload.setup_op, workload.make_op(random.Random(0))):
+            code = entries[op.entry](list(op.args))
+            out = capsys.readouterr().out
+            assert code == 0, (name, op.args)
+            assert op.check(out) is None, (name, op.args, op.check(out))

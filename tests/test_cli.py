@@ -360,10 +360,10 @@ def test_failed_hilbert_euler_check_exits_1_with_one_line(capsys, monkeypatch):
 
     original = assembly.hilbert_genus
 
-    def corrupted(model, k):  # + 2k s_2k takes 1 from the top Chern number
-        return original(model, k) + SPoly({(2 * k,): 2 * k})
+    def corrupted(model, k):  # + 9 s3^2 adds 1 to c6 and, as l_3 = 0, 0 to Todd
+        return original(model, k) + SPoly({(3, 3): 9})
 
     monkeypatch.setattr(assembly, "hilbert_genus", corrupted)
     code, out, err = run(capsys, "hilbert", "--k", "3")
     assert (code, out) == (1, "")
-    assert err == "check failed: k=3: top Chern number 21, expected Euler number 22\n"
+    assert err == "check failed: k=3: top Chern number 23, expected Euler number 22\n"

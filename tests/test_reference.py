@@ -1,13 +1,16 @@
 import hashlib
+import json
 
 import pytest
 
+from kummer_chern import reference
 from kummer_chern.reference import (
-    EXPECTED_COUNTS,
     _resource_bytes,
     load_reference_table,
     reference_for,
 )
+
+from oracles import partitions_ascending
 
 # guards the transcription against accidental edits
 REFERENCE_SHA256 = "fd28dabfa62b0698506a113fbaa8ecfa0d6c73bec2a150c4679a092af7e00367"
@@ -20,10 +23,26 @@ def test_resource_checksum():
 def test_shape_and_total():
     table = load_reference_table()
     assert len(table) == 44
-    counts = {}
-    for n, _ in table:
-        counts[n] = counts.get(n, 0) + 1
-    assert counts == EXPECTED_COUNTS
+    # member n has one entry per partition of n - 1, doubled
+    assert set(table) == {
+        (n, tuple(2 * part for part in lam))
+        for n in range(2, 9)
+        for lam in partitions_ascending(n - 1)
+    }
+
+
+def test_a_wrong_partition_with_the_right_counts_is_rejected(monkeypatch):
+    payload = json.loads(_resource_bytes())
+    (entry,) = [e for e in payload["entries"] if (e["n"], e["partition"]) == (3, [4])]
+    entry["partition"] = [3, 1]  # a partition of 4, but not into even parts
+    corrupted = json.dumps(payload).encode()
+    monkeypatch.setattr(reference, "_resource_bytes", lambda: corrupted)
+    load_reference_table.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"shape at \[\(3, \(3, 1\)\), \(3, \(4,\)\)\]"):
+            load_reference_table()
+    finally:
+        load_reference_table.cache_clear()
 
 
 def test_spot_values():
