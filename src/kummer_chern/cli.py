@@ -3,12 +3,14 @@
 compute, hilbert and genus format their numbers once and render them as a
 table, JSON records or CSV rows.  A compute JSON record carries the n > 8
 "advisories" that its table prints, when there are any.  Each handler
-returns (text, exit code); ``main`` alone writes the text and maps errors to codes.
+returns (text, exit code); only ``main`` and its ``_run`` write the text and
+map errors to codes.
 
 Exit codes: 0 success, 1 verification mismatch or a failed internal check
 (one "check failed:" line on stderr; the Hilbert Todd and Euler checks are
 the library's), 2 invalid configuration (every invalid argument is the
-parser's usage error; an --out file that cannot be written is one line),
+parser's usage error; an --out file that cannot be opened is one line,
+before any computation),
 3 genericity failure (the explicitly requested weights are degenerate).
 """
 
@@ -234,6 +236,20 @@ def cmd_genus(args) -> tuple[str, int]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.out:
+        return _run(args, sys.stdout)
+    # --out is opened before any work, so a bad path costs no computation;
+    # a run that then fails leaves the file empty, as a shell redirection does
+    try:
+        with open(args.out, "w", encoding="utf-8") as out:
+            return _run(args, out)
+    except OSError as exc:
+        print(f"cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+
+
+def _run(args, out) -> int:
+    """Run the handler and write its text to out; map errors to exit codes."""
     try:
         text, code = args.handler(args)
     except GenericityError as exc:
@@ -242,16 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    if not args.out:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"cannot write --out {args.out}: {reason}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
+    out.write(text)
     return code
 
 

@@ -98,7 +98,7 @@ def _elementary_coefficient(r: int, nu: Partition) -> int:
 
 
 def _product_rows(
-    coefficient: Callable[[int, Partition], int], d: int
+    coefficient: Callable[[int, Partition], int], d: int, *, without_ones: bool = False
 ) -> Iterator[tuple[Partition, Combo]]:
     """(mu, prod_i factor(mu_i)) for every partition mu of d, depth first.
 
@@ -108,9 +108,20 @@ def _product_rows(
     path ends at a partition of d.  Larger parts are tried first, so the
     partitions come in decreasing order read from their smallest part:
     (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1) for d = 4.
+
+    The caller sets without_ones when the data say that every key with a
+    part 1 meets a zero: such a key is dropped from the factors, and so
+    from every row, since a product's key has a part 1 exactly when one of
+    its factors' keys has.  The rows are then the full rows modulo p_1
+    (or e_1), much shorter, and every dot product with the data is the
+    same.  Every mu is still walked.
     """
     factors = [{(): 1}] + [
-        {lam: coefficient(r, lam) for lam in enumerate_partitions(r)}
+        {
+            lam: coefficient(r, lam)
+            for lam in enumerate_partitions(r)
+            if not (without_ones and 1 in lam)
+        }
         for r in range(1, d + 1)
     ]
 
@@ -130,33 +141,45 @@ def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTa
     """Convert power-sum integrals P_lam (lam |- d) to Chern numbers.
 
     c_mu is the row of prod_i mu_i! e_mu in the power-sum basis dotted with
-    P, divided exactly by prod_i mu_i!.  The entries come in the order of
-    the walk (see _product_rows): (d,) first, (1, ..., 1) last.  Raises
-    ValueError at the first entry in that order that is not integral, and
-    KeyError when a P_lam is missing.
+    P, divided exactly by prod_i mu_i!.  P is written as integer numerators
+    over the lcm D of its denominators, so the dot products run on ints and
+    c_mu is integral exactly when D * prod_i mu_i! divides its total.  When
+    every P_nu with a part 1 is zero, as on a Kummer table, the rows drop
+    those nu (see _product_rows).  The entries come in the order of the
+    walk: (d,) first, (1, ..., 1) last.  Raises ValueError at the first
+    entry in that order that is not integral, and KeyError when a P_lam is
+    missing.
     """
+    keys = enumerate_partitions(d)
+    try:
+        numerators, D = _over_lcm({lam: P[lam] for lam in keys})
+    except KeyError as exc:
+        raise KeyError(f"power integral for {exc.args[0]} missing") from None
+    without_ones = not any(numerators[lam] for lam in keys if 1 in lam)
     numbers = {}
-    for mu, row in _product_rows(_elementary_coefficient, d):
-        try:
-            total = sum(c * P[nu] for nu, c in row.items())
-        except KeyError as exc:
-            raise KeyError(f"power integral for {exc.args[0]} missing") from None
-        scale = prod(map(factorial, mu))
-        # non-integral P_nu can sum to an integral Fraction: test the value
-        if total.denominator != 1 or int(total) % scale:
+    for mu, row in _product_rows(_elementary_coefficient, d, without_ones=without_ones):
+        total = sum(c * numerators[nu] for nu, c in row.items())
+        scale = D * prod(map(factorial, mu))
+        if total % scale:
             raise ValueError(f"entry {mu} = {Q(total, scale)} is not integral")
-        numbers[mu] = int(total) // scale
+        numbers[mu] = total // scale
     return ChernTable(d, numbers)
 
 
 def power_integrals_from_chern(table: ChernTable) -> dict[Partition, object]:
     """Inverse conversion: P_lam from the Chern numbers.
 
-    The rows are integral, so an integral table gives int entries.
+    The rows are integral, so an integral table gives int entries.  When
+    every entry with a part 1 is zero, as on a Kummer table, the rows drop
+    those keys (see _product_rows).
     """
+    numbers = table.numbers
+    without_ones = not any(c for mu, c in numbers.items() if 1 in mu)
     return {
-        lam: sum(c * table[mu] for mu, c in row.items())
-        for lam, row in _product_rows(_power_coefficient, table.degree)
+        lam: sum(c * numbers.get(mu, 0) for mu, c in row.items())
+        for lam, row in _product_rows(
+            _power_coefficient, table.degree, without_ones=without_ones
+        )
     }
 
 

@@ -68,6 +68,31 @@ def test_compute_out_to_unwritable_path_is_config_error(tmp_path, capsys):
     assert not target.exists() and not target.parent.exists()
 
 
+def test_unwritable_out_is_refused_before_any_computation(tmp_path, capsys, monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("computed before --out was opened")
+
+    monkeypatch.setattr(cli, "find_generic_model", no_model)
+    for argv in (
+        ("compute", "--n-max", "9"),
+        ("hilbert", "--k", "3"),
+        ("genus", "--name", "todd", "--n-max", "3"),
+    ):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"cannot write --out {target}: ") and len(err.splitlines()) == 1
+
+
+def test_out_file_of_a_failed_run_is_left_empty(tmp_path, capsys):
+    # opened before the work, as a shell redirection is: a run that fails
+    # after it leaves an empty file
+    target = tmp_path / "table.txt"
+    code, out, err = run(capsys, "compute", "--n-max", "3", "--weights=1,2", "--out", str(target))
+    assert code == 3 and out == "" and err.startswith("genericity failure:")
+    assert target.read_text() == ""
+
+
 def usage_error(capsys, *argv):
     """stderr of a parser usage error: exit 2, nothing on stdout."""
     with pytest.raises(SystemExit) as exc:

@@ -25,6 +25,7 @@ from oracles import (
     direct_tangent_data,
     fixed_point_contribution,
     hom_tangent_weights,
+    localized_twisted_sums,
     weight_data,
 )
 
@@ -298,3 +299,54 @@ def test_vanishing_check_reads_every_below_top_degree(monkeypatch):
     m = find_generic_model("p2", 2)
     with pytest.raises(VanishingCheckError, match=r"degree 3\).*partition \(3,\)"):
         localized_sums(m, 2)
+
+
+def test_vanishing_check_reads_each_points_own_q1(monkeypatch):
+    # the kernel groups the points by q_1 and never walks a part 1, so only
+    # a grouping that reads each point's own q_1 sees a corrupted one: at
+    # degree 1, partition (1,); degree 0 reads no power sum
+    import kummer_chern.localization as localization
+
+    original = localization.tangent_data
+    calls = []
+
+    def corrupting_data(model, point, **kwargs):
+        data = original(model, point, **kwargs)
+        calls.append(None)
+        if len(calls) != 1:  # the first fixed point only
+            return data
+        q = list(data.power_sums)
+        q[0] += 1
+        return data._replace(power_sums=tuple(q))
+
+    monkeypatch.setattr(localization, "tangent_data", corrupting_data)
+    m = find_generic_model("p2", 3)
+    with pytest.raises(VanishingCheckError, match=r"degree 1\).*partition \(1,\)"):
+        localized_sums(m, 3)
+
+
+def test_grouped_kernel_matches_the_literal_fixed_point_sum():
+    # the kernel sums the points of one q_1 value together; the oracle adds
+    # every point's literal contribution.  k = 0 has one point and no q_1.
+    groups = {}
+    for name, k_max in (("p2", 5), ("p1xp1", 4)):
+        for weights in ((37, -29), (13, -31)):
+            m = find_generic_model(name, k_max, weights=weights)
+            pieces = tangent_pieces(m, k_max)
+            for k in range(k_max + 1):
+                literal = localized_twisted_sums(m, k, 0)
+                assert all(c.is_zero() for c in literal[: 2 * k]), (name, weights, k)
+                assert hilbert_genus(m, k, pieces=pieces) == literal[2 * k], (name, weights, k)
+            groups[name, weights] = len(
+                {tangent_data(m, p, pieces=pieces).power_sums[0] for p in fixed_points(m, k_max)}
+            )
+    # several points share each value, so the grouping is not the identity
+    assert groups == {
+        ("p2", (37, -29)): 21,
+        ("p2", (13, -31)): 21,
+        ("p1xp1", (37, -29)): 25,
+        ("p1xp1", (13, -31)): 25,
+    }
+    for name in SURFACE_NAMES:
+        m = find_generic_model(name, 0)
+        assert localized_sums(m, 0).table == {0: SPoly.constant(1)}

@@ -364,3 +364,84 @@ def test_chern_key_formatting():
             assert parse_chern_key(format_chern_key(mu)) == mu
     with pytest.raises(ValueError):
         parse_chern_key("d4")
+
+
+@pytest.fixture
+def row_switches(monkeypatch):
+    """Record the without_ones switch of each _product_rows walk."""
+    original = symfun._product_rows
+    switches = []
+
+    def recording_rows(coefficient, d, *, without_ones=False):
+        switches.append(without_ones)
+        return original(coefficient, d, without_ones=without_ones)
+
+    monkeypatch.setattr(symfun, "_product_rows", recording_rows)
+    return switches
+
+
+def test_rows_drop_part_one_keys_only_when_the_data_vanish_there(row_switches):
+    # a Kummer P has P_nu = 0 at every nu with a part 1, and its rows drop
+    # those nu; with one of them nonzero the conversion must give what the
+    # full rows give (the oracle's e-rows): the same table, or a ValueError
+    # at the same first non-integral entry in walk order
+    from kummer_chern.assembly import kummer_genus_series
+    from kummer_chern.localization import find_generic_model
+
+    d = 4
+    kummer = power_integrals_from_genus_poly(kummer_genus_series(find_generic_model("p2", 3), 3)[3], d)
+    with_ones = [nu for nu in enumerate_partitions(d) if 1 in nu]
+    assert not any(kummer[nu] for nu in with_ones)
+    walk_order = sorted(enumerate_partitions(d), key=lambda mu: mu[::-1], reverse=True)
+
+    def full_rows(P):
+        return {
+            mu: sum(c * P[nu] for nu, c in elementary_product_in_power_basis(mu).items())
+            for mu in walk_order
+        }
+
+    assert chern_from_power_integrals(kummer, d).numbers == full_rows(kummer)
+    assert row_switches == [True]
+    outcomes = set()
+    for nu in with_ones:
+        for value in (1, 24, Q(-1, 2)):
+            P = {**kummer, nu: value}
+            row_switches.clear()
+            expected = full_rows(P)
+            inexact = [mu for mu in walk_order if expected[mu].denominator != 1]
+            if inexact:
+                first = inexact[0]
+                message = f"entry {first} = {expected[first]} is not integral"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    chern_from_power_integrals(P, d)
+            else:
+                assert chern_from_power_integrals(P, d).numbers == expected, (nu, value)
+            assert row_switches == [False], (nu, value)
+            outcomes.add(bool(inexact))
+    assert outcomes == {False, True}  # both branches are compared
+    # the switch reads every partition of d, so a missing P_nu with a part 1
+    # is reported, not taken for a zero
+    with pytest.raises(KeyError, match=r"\(1, 1, 1, 1\) missing"):
+        chern_from_power_integrals({nu: kummer[nu] for nu in walk_order[:-1]}, d)
+
+
+def test_evaluate_genus_keeps_the_full_rows_on_hilbert_tables(row_switches):
+    # the Hilbert tables of p2 have nonzero entries with a part 1 (c1 != 0),
+    # so they convert on the full rows, and the Todd genus of each is 1; a
+    # Kummer table has none and converts on the rows without them
+    from kummer_chern.assembly import hilbert_chern_numbers, kummer_chern_numbers
+    from kummer_chern.localization import find_generic_model, hilbert_genus
+
+    m = find_generic_model("p2", 4)
+    for k in range(1, 5):
+        table = hilbert_chern_numbers(m, k)
+        assert any(v for mu, v in table.numbers.items() if 1 in mu), k
+        row_switches.clear()
+        assert evaluate_genus(table, genus_log_coefficients("todd", 2 * k)) == 1, k
+        P = power_integrals_from_chern(table)
+        assert P == power_integrals_from_genus_poly(hilbert_genus(m, k), 2 * k), k
+        assert row_switches == [False, False], k
+    kummer = kummer_chern_numbers(m, 4).chern
+    row_switches.clear()
+    assert evaluate_genus(kummer, genus_log_coefficients("todd", 6)) == 4
+    assert row_switches == [True]
