@@ -45,18 +45,6 @@ from .symfun import (
 )
 
 
-class HomogeneityError(CheckError):
-    """A series coefficient had exact residue outside its expected weight."""
-
-
-class TableValidationError(CheckError):
-    """A computed Chern table violated a structural requirement."""
-
-
-class QuadraticCheckError(CheckError):
-    """The log series failed to be quadratic in the twist."""
-
-
 def hilbert_genus_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
     """The untwisted series H(0) through z^n_max, as its coefficient tuple.
 
@@ -65,7 +53,8 @@ def hilbert_genus_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
     shifted by t.
 
     This call owns the tangent pieces of the series: it builds them once,
-    for n_max, passes them to every table and drops them on return.
+    for n_max, passes them to every table and drops them on return.  So
+    genericity is decided once, at depth n_max, before any table is built.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
@@ -122,13 +111,13 @@ def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...
     for n, coeff in enumerate(log_h):
         residue = coeff.off_weight_part(2 * n)
         if not residue.is_zero():
-            raise HomogeneityError(
+            raise CheckError(
                 f"z^{n} coefficient of ln H(0) has off-weight part {residue} "
                 f"(expected pure weight {2 * n})"
             )
         cubic = _s1_derivative(coeff, 3)
         if not cubic.is_zero():
-            raise QuadraticCheckError(
+            raise CheckError(
                 f"z^{n} coefficient of ln H(0) has third s1-derivative {cubic}, "
                 "so ln H(t) is not quadratic in the twist"
             )
@@ -160,7 +149,7 @@ def _validate_kummer_table(n: int, table: ChernTable) -> KummerResult:
         value = table[mu]
         if any(part % 2 for part in mu):
             if value != 0:
-                raise TableValidationError(
+                raise CheckError(
                     f"n={n}: odd-part entry {mu} = {value}, expected 0"
                 )
             continue
@@ -173,7 +162,7 @@ def _validate_kummer_table(n: int, table: ChernTable) -> KummerResult:
         if problems:
             message = f"n={n}: entry {mu} = {value} is " + " and ".join(problems)
             if n <= REFERENCE_N_MAX:
-                raise TableValidationError(message)
+                raise CheckError(message)
             advisories.append(message)
     return KummerResult(
         n, table.degree, ChernTable(table.degree, kept), tuple(advisories)
@@ -205,13 +194,13 @@ def _checked_table(label: str, genus: SPoly, d: int, euler: int, todd: int) -> C
     """
     value = genus_value(genus.terms, genus_log_coefficients("todd", d))
     if value != todd:
-        raise TableValidationError(f"{label}: Todd genus {value}, expected {todd}")
+        raise CheckError(f"{label}: Todd genus {value}, expected {todd}")
     try:
         table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
     except ValueError as exc:
-        raise TableValidationError(f"{label}: {exc}") from exc
+        raise CheckError(f"{label}: {exc}") from exc
     if table.top() != euler:
-        raise TableValidationError(
+        raise CheckError(
             f"{label}: top Chern number {table.top()}, expected Euler number {euler}"
         )
     return table
@@ -232,8 +221,8 @@ def hilbert_chern_numbers(model: SurfaceModel, k: int) -> ChernTable:
 
     Checked integral, with the top number equal to Goettsche's Euler number
     and Todd genus 1 (a toric surface is rational, so chi(O) of S^[k] is 1:
-    Ellingsrud-Goettsche-Lehn); a failure raises TableValidationError, one
-    "check failed:" line in the CLI.
+    Ellingsrud-Goettsche-Lehn); a failure raises CheckError, one "check
+    failed:" line in the CLI.
     """
     if k < 0:
         raise ValueError("need k >= 0")

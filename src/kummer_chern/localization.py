@@ -50,10 +50,6 @@ class CheckError(Exception):
     """An internal consistency check of a computed result failed."""
 
 
-class VanishingCheckError(CheckError):
-    """A below-top-degree localization sum failed to cancel."""
-
-
 class SurfaceModel(NamedTuple):
     """A toric surface with integer chart weights and its Chern invariants.
 
@@ -214,8 +210,10 @@ def tangent_pieces(model: SurfaceModel, n: int) -> Pieces:
     _hooks(n).  So each chart raises the weights of the hooks to the powers
     1..2n, one C-level map per power, and a piece is the product and the
     sums of its cells' entries.  The cells' indices depend on lam only and
-    are shared by the charts.
+    are shared by the charts.  Degenerate weights are refused: a model not
+    generic up to depth n raises GenericityError before any piece is built.
     """
+    _require_generic(model, n)
     hooks = _hooks(n)
     index = {hook: (2 * i, 2 * i + 1) for i, hook in enumerate(hooks)}
     cells = {  # lam -> its cells' two weights in a chart's list of hook weights
@@ -325,12 +323,12 @@ def localized_sums(
 
     A sum with d < 2k vanishes exactly when all its numerators are zero,
     so the below-top check reads the integers, in order of size, and raises
-    VanishingCheckError on the first nonzero one.  Only the top sum, the
-    genus, is built, by one exact division per partition of 2k; it is the
-    record's one entry.  A model not generic up to depth k raises
-    GenericityError first.
+    CheckError on the first nonzero one.  Only the top sum, the genus, is
+    built, by one exact division per partition of 2k; it is the record's
+    one entry.  The pieces were checked for genericity when tangent_pieces
+    built them, so a model not generic up to depth k has raised
+    GenericityError before any tangent data is read.
     """
-    _require_generic(model, k)
     two_k = 2 * k
     if pieces is None:
         pieces = tangent_pieces(model, k)
@@ -374,7 +372,7 @@ def localized_sums(
     for size in range(two_k):
         for mu in enumerate_partitions(size):
             if numerators[mu]:
-                raise VanishingCheckError(
+                raise CheckError(
                     f"below-top localization sum (degree {size}) for k={k} on "
                     f"{model.name}{model.weights}: partition {mu} has numerator "
                     f"{numerators[mu]}"

@@ -122,9 +122,9 @@ def test_criterion_5_euler_top_chern(kummer_results_p2):
 
 def test_criterion_6_property_suites(p2_model, p1xp1_model, p2_series):
     # (a) below-top localization vanishing, k <= 8: localized_sums raises
-    # VanishingCheckError on any nonzero below-top sum, and assembling
-    # p2_series localizes every k <= 8; every twisted sum is a combination of
-    # these untwisted ones
+    # CheckError ("below-top localization sum") on any nonzero below-top
+    # sum, and assembling p2_series localizes every k <= 8; every twisted sum
+    # is a combination of these untwisted ones
 
     # (b) homogeneity of the z^n coefficient at weight 2(n-1)
     series = p2_series
@@ -153,8 +153,9 @@ def test_criterion_6_property_suites(p2_model, p1xp1_model, p2_series):
             assert len(fixed_points(model, k)) == counts[k], (model.name, k)
 
     # (g) quadratic twist dependence: assembling p2_series checked that
-    # d^3/ds1^3 ln H(0) vanishes through z^8, raising QuadraticCheckError
-    # otherwise (test_quadratic_check_fires_on_a_cubic_s1_term shows it fires)
+    # d^3/ds1^3 ln H(0) vanishes through z^8, raising CheckError ("has third
+    # s1-derivative") otherwise (test_quadratic_check_fires_on_a_cubic_s1_term
+    # shows it fires)
 
     _report(6, "vanishing, homogeneity, integrality, odd-part zeros, "
                "positivity, n^3 divisibility, fixed-point counts, "

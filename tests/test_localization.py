@@ -4,9 +4,9 @@ import pytest
 
 from kummer_chern.localization import (
     SURFACE_NAMES,
+    CheckError,
     GenericityError,
     SurfaceModel,
-    VanishingCheckError,
     build_surface_model,
     default_weights,
     find_generic_model,
@@ -228,6 +228,32 @@ def test_zero_tangent_weight_raises_through_the_pieces_path(tangent_data_calls):
     assert tangent_data_calls == []
 
 
+def test_a_series_decides_genericity_once(tangent_data_calls, monkeypatch):
+    # hilbert_genus_series builds its pieces once, at depth n_max, and that
+    # is where a degenerate model is refused: before any table reads tangent
+    # data, although (1, 2) is generic up to depth 2
+    import kummer_chern.localization as localization
+    from kummer_chern.assembly import hilbert_genus_series
+
+    m = build_surface_model("p2", 1, 2)
+    with pytest.raises(GenericityError, match="degenerate for p2 at depth 3"):
+        hilbert_genus_series(m, 3)
+    assert tangent_data_calls == []
+
+    original = localization.is_generic
+    decided = []
+
+    def counting_generic(*args):
+        decided.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(localization, "is_generic", counting_generic)
+    model = find_generic_model("p2", 5)
+    assert decided == [(model, 5)]
+    hilbert_genus_series(model, 5)
+    assert decided == [(model, 5)] * 2  # one decision for the six tables
+
+
 def test_contribution_of_first_chart_point():
     m = build_surface_model("p2", 1, 2)
     fp = fixed_points(m, 1)[0]
@@ -274,7 +300,7 @@ def test_vanishing_check_fires_on_a_corrupted_point(monkeypatch):
 
     monkeypatch.setattr(localization, "tangent_data", corrupting_data)
     m = find_generic_model("p2", 2)
-    with pytest.raises(VanishingCheckError, match=r"degree 0\).*partition \(\)"):
+    with pytest.raises(CheckError, match=r"degree 0\).*partition \(\)"):
         localized_sums(m, 2)
 
 
@@ -297,7 +323,7 @@ def test_vanishing_check_reads_every_below_top_degree(monkeypatch):
 
     monkeypatch.setattr(localization, "tangent_data", corrupting_data)
     m = find_generic_model("p2", 2)
-    with pytest.raises(VanishingCheckError, match=r"degree 3\).*partition \(3,\)"):
+    with pytest.raises(CheckError, match=r"degree 3\).*partition \(3,\)"):
         localized_sums(m, 2)
 
 
@@ -321,7 +347,7 @@ def test_vanishing_check_reads_each_points_own_q1(monkeypatch):
 
     monkeypatch.setattr(localization, "tangent_data", corrupting_data)
     m = find_generic_model("p2", 3)
-    with pytest.raises(VanishingCheckError, match=r"degree 1\).*partition \(1,\)"):
+    with pytest.raises(CheckError, match=r"degree 1\).*partition \(1,\)"):
         localized_sums(m, 3)
 
 

@@ -28,7 +28,7 @@ ALLOWED = {
         ),
         "SPoly arithmetic: the public series type, used by the literal "
         "localization oracle in tests/oracles.py and planned for the Hilbert "
-        "series of any (c1^2, c2) (ROADMAP item 3)",
+        "series of any (c1^2, c2) (ROADMAP item 6)",
     ),
     "polyring.SPoly.__str__": "used only in check messages",
     "symfun.ChernTable.__eq__": "value-type API",
