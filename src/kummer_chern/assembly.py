@@ -32,14 +32,15 @@ from __future__ import annotations
 from math import perm
 from typing import NamedTuple
 
+from . import polyring
 from .localization import CheckError, SurfaceModel, hilbert_genus, tangent_pieces
 from .partitions import Partition
-from .polyring import Q, SPoly, zseries_euler_sq, zseries_log
+from .polyring import SPoly, zseries_euler_sq, zseries_log
 from .reference import REFERENCE_N_MAX
 from .symfun import (
     ChernTable,
     chern_from_power_integrals,
-    genus_log_coefficients,
+    genus_log_form,
     genus_value,
     power_integrals_from_genus_poly,
 )
@@ -101,12 +102,11 @@ def _s1_derivative(poly: SPoly, r: int) -> SPoly:
         e = mono.count(1)
         if e >= r:
             terms[mono[: len(mono) - r]] = c * perm(e, r)
-    return SPoly(terms)
+    return SPoly.over(terms, poly.den)
 
 
 def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...]:
     log_h = zseries_log(hilbert_genus_series(model, n_max))
-    inv_c1sq = Q(1, model.c1sq)
     second = []
     for n, coeff in enumerate(log_h):
         residue = coeff.off_weight_part(2 * n)
@@ -121,7 +121,7 @@ def _assemble_kummer_series(model: SurfaceModel, n_max: int) -> tuple[SPoly, ...
                 f"z^{n} coefficient of ln H(0) has third s1-derivative {cubic}, "
                 "so ln H(t) is not quadratic in the twist"
             )
-        second.append(_s1_derivative(coeff, 2).scale(inv_c1sq))
+        second.append(_s1_derivative(coeff, 2).scale(1, model.c1sq))
     return zseries_euler_sq(tuple(second))
 
 
@@ -191,10 +191,11 @@ def _checked_table(label: str, genus: SPoly, d: int, euler: int, todd: int) -> C
 
     The Todd genus (the Todd l_j put for s_j in genus) must be todd, and the
     table integral with top number euler.  label ("n=3") starts each message.
+    All of it runs on integers; only a failure message builds a rational.
     """
-    value = genus_value(genus.terms, genus_log_coefficients("todd", d))
-    if value != todd:
-        raise CheckError(f"{label}: Todd genus {value}, expected {todd}")
+    total, den = genus_value(genus, genus_log_form("todd", d))
+    if total != todd * den:
+        raise CheckError(f"{label}: Todd genus {polyring.Q(total, den)}, expected {todd}")
     try:
         table = chern_from_power_integrals(power_integrals_from_genus_poly(genus, d), d)
     except ValueError as exc:

@@ -34,12 +34,12 @@ coefficient integrates, everything below must cancel across fixed points.
 from __future__ import annotations
 
 from itertools import accumulate, compress, islice
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import add, attrgetter, itemgetter, mul, ne, sub
 from typing import Mapping, NamedTuple
 
 from .partitions import Partition, enumerate_partitions, multipartitions, sym_factor
-from .polyring import Q, SPoly
+from .polyring import SPoly
 
 
 class GenericityError(Exception):
@@ -324,8 +324,9 @@ def localized_sums(
     A sum with d < 2k vanishes exactly when all its numerators are zero,
     so the below-top check reads the integers, in order of size, and raises
     CheckError on the first nonzero one.  Only the top sum, the genus, is
-    built, by one exact division per partition of 2k; it is the record's
-    one entry.  The pieces were checked for genericity when tangent_pieces
+    built, on integers: the numerators N(lam) * (2k)! / sym_factor(lam) over
+    D * (2k)!, reduced by one gcd (see SPoly); it is the record's one
+    entry.  The pieces were checked for genericity when tangent_pieces
     built them, so a model not generic up to depth k has raised
     GenericityError before any tangent data is read.
     """
@@ -377,9 +378,11 @@ def localized_sums(
                     f"{model.name}{model.weights}: partition {mu} has numerator "
                     f"{numerators[mu]}"
                 )
-    genus = SPoly({
-        mu: Q(numerators[mu], D * sym_factor(mu)) for mu in enumerate_partitions(two_k)
-    })
+    F = factorial(two_k)  # a multiple of every sym_factor(mu) with |mu| = 2k
+    genus = SPoly.over(
+        {mu: numerators[mu] * (F // sym_factor(mu)) for mu in enumerate_partitions(two_k)},
+        D * F,
+    )
     return LocalizedSums(k, two_k, {two_k: genus})
 
 

@@ -62,8 +62,10 @@ def multiplicities(lam: Partition) -> dict[int, int]:
     return mult
 
 
+@lru_cache(maxsize=None)
 def sym_factor(lam: Partition) -> int:
-    """Product of factorials of the part multiplicities."""
+    """Product of factorials of the part multiplicities (cached, as the
+    tables of every model and degree ask for the same few partitions)."""
     out = 1
     for m in multiplicities(lam).values():
         out *= factorial(m)

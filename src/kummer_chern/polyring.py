@@ -8,8 +8,13 @@ genera is homogeneous too, so there are no terms to discard.
 A truncated power series in z is the plain tuple of its SPoly
 coefficients, z^0 first; its order is its length minus one.
 
-Coefficients use gmpy2.mpq when available and fall back to the standard
-library's Fraction.  Both are exact; results are identical.
+The pipeline runs on integers: an SPoly is integer numerators over one
+denominator, from the localization kernel to the Chern table.  Q, the
+type of the rationals the library returns (genus values, log-coefficients,
+single coefficients and check messages), is gmpy2.mpq when available and
+the standard library's Fraction otherwise.  It is resolved on first use,
+so a run that returns only integers imports neither.  Both are exact;
+results are identical.
 """
 
 from __future__ import annotations
@@ -19,12 +24,24 @@ from typing import Mapping
 
 from .partitions import multiplicities
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
-
 Monomial = tuple[int, ...]  # descending variable subscripts; () is the constant 1
+
+
+def __getattr__(name: str):
+    # Q on first use; it is then a module global and this is not called again
+    if name != "Q":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global Q
+    try:  # pragma: no cover - exercised implicitly by the whole suite
+        from gmpy2 import mpq as Q
+    except ImportError:  # pragma: no cover
+        from fractions import Fraction as Q
+    return Q
+
+
+def _rational(num: int, den: int):
+    # num / den as a Q; code in this module reads Q past its __getattr__
+    return (globals().get("Q") or __getattr__("Q"))(num, den)
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -35,8 +52,8 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 def combo_mul(a: Mapping, b: Mapping) -> dict[Monomial, object]:
     """Product of two sparse combinations keyed by descending tuples.
 
-    The one sparse product: SPoly terms and the symmetric-function bases
-    (keyed by partitions) both multiply by merging keys.  Zero
+    The one sparse product: SPoly numerators and the symmetric-function
+    bases (keyed by partitions) both multiply by merging keys.  Zero
     coefficients are dropped.
     """
     out: dict[Monomial, object] = {}
@@ -49,75 +66,105 @@ def combo_mul(a: Mapping, b: Mapping) -> dict[Monomial, object]:
     return {k: v for k, v in out.items() if v}
 
 
-def _wrap(terms: dict[Monomial, object]) -> "SPoly":
-    # an SPoly around a dict already free of zero coefficients, not copied
+def _over_lcm(values: Mapping) -> tuple[dict, int]:
+    # the rational values as integer numerators over the lcm of their denominators
+    den = lcm(*(int(c.denominator) for c in values.values()))
+    return {
+        key: int(c.numerator) * (den // int(c.denominator)) for key, c in values.items()
+    }, den
+
+
+def _reduced(terms: dict[Monomial, int], den: int) -> "SPoly":
+    # the SPoly of the nonzero numerators terms over den > 0, divided by
+    # their common gcd; terms is owned, not copied
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+        den //= g
     out = SPoly.__new__(SPoly)
-    out.terms = terms
+    out.terms, out.den = terms, den
     return out
 
 
 class SPoly:
-    """Sparse polynomial in s1, s2, ... with exact coefficients.
+    """Sparse polynomial in s1, s2, ... with exact rational coefficients.
 
-    Terms are stored as a dict mapping descending subscript tuples to
-    nonzero rational coefficients; (2, 1, 1) means s2*s1^2 and has weight 4.
+    It is held as integer numerators over one denominator: terms maps
+    descending subscript tuples to nonzero ints, (2, 1, 1) meaning s2*s1^2
+    of weight 4, and den is a positive int.  The form is reduced, with
+    gcd(den, *numerators) == 1, so it is unique: den is the lcm of the
+    reduced denominators of the coefficients, and the zero polynomial has
+    den 1.  Two polynomials are equal when their terms and dens are.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+        # int or rational coefficients: over the lcm of their reduced
+        # denominators they have no common factor with it
+        numerators, self.den = _over_lcm(terms) if terms else ({}, 1)
+        self.terms = {m: c for m, c in numerators.items() if c}
 
     @classmethod
     def constant(cls, value) -> "SPoly":
         return cls({(): value})
 
+    @classmethod
+    def over(cls, numerators: Mapping[Monomial, int], den: int) -> "SPoly":
+        """The polynomial with these integer numerators over den > 0."""
+        return _reduced({m: c for m, c in numerators.items() if c}, den)
+
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, mono: Monomial):
-        return self.terms.get(tuple(mono), 0)
+        """The coefficient of mono, a Q."""
+        return _rational(self.terms.get(tuple(mono), 0), self.den)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((), 0) == 1
+        return self.den == 1 and self.terms == {(): 1}
 
     def off_weight_part(self, w: int) -> "SPoly":
-        return _wrap({m: c for m, c in self.terms.items() if sum(m) != w})
+        return _reduced({m: c for m, c in self.terms.items() if sum(m) != w}, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        terms = dict(self.terms)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        terms = {m: c * a for m, c in self.terms.items()}
         for mono, c in other.terms.items():
-            acc = terms.get(mono)
-            if acc is None:
-                terms[mono] = c
+            acc = terms.get(mono, 0) + c * b
+            if acc:
+                terms[mono] = acc
             else:
-                acc = acc + c
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        return _wrap(terms)
+                del terms[mono]
+        return _reduced(terms, den)
 
     def __neg__(self):
-        return _wrap({m: -c for m, c in self.terms.items()})
+        return _reduced({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return _wrap(combo_mul(self.terms, other.terms))
+        return _reduced(combo_mul(self.terms, other.terms), self.den * other.den)
 
-    def scale(self, c) -> "SPoly":
-        if not c:
+    def scale(self, c, den: int = 1) -> "SPoly":
+        """This polynomial times c / den, for an int or rational c and an int den."""
+        num, den = int(c.numerator), int(c.denominator) * den
+        if not den:
+            raise ZeroDivisionError("SPoly scaled by a zero denominator")
+        if den < 0:
+            num, den = -num, -den
+        if not num:
             return SPoly()
-        return _wrap({m: v * c for m, v in self.terms.items()})
+        return _reduced({m: v * num for m, v in self.terms.items()}, self.den * den)
 
     def __eq__(self, other):
-        return isinstance(other, SPoly) and self.terms == other.terms
+        return isinstance(other, SPoly) and (self.den, self.terms) == (other.den, other.terms)
 
     def __repr__(self):
         return f"SPoly({self!s})"
@@ -127,7 +174,7 @@ class SPoly:
             return "0"
         bits = []
         for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
-            c = self.terms[mono]
+            c = _rational(self.terms[mono], self.den)
             body = "*".join(
                 f"s{part}" + (f"^{e}" if e > 1 else "")
                 for part, e in multiplicities(mono).items()
@@ -139,14 +186,6 @@ class SPoly:
         return " + ".join(bits)
 
 
-def _over_lcm(values: Mapping) -> tuple[dict, int]:
-    # the rational values as integer numerators over the lcm of their denominators
-    den = lcm(*(int(c.denominator) for c in values.values()))
-    return {
-        key: int(c.numerator) * (den // int(c.denominator)) for key, c in values.items()
-    }, den
-
-
 def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """Formal logarithm of a series with constant coefficient 1.
 
@@ -155,37 +194,28 @@ def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
 
         n L_n = n H_n - sum_{0<j<n} j L_j H_{n-j}
 
-    on integers: each H_n is written as integer numerators over the lcm of
-    its coefficients' denominators, each L_n is built over the lcm of the
-    denominators of the terms on the right, times n, and then reduced by
-    the gcd of that denominator and all its numerators.  Only the returned
-    coefficients are rationals.
+    on integers: each L_n is built over the lcm of the denominators of the
+    terms on the right, times n, and then reduced by the gcd of that
+    denominator and all its numerators.
     """
     if not H[0].is_one():
         raise ValueError("log needs constant coefficient 1")
-    h = [_over_lcm(c.terms) for c in H]
-    logs: list[tuple[dict[Monomial, int], int]] = [({}, 1)]
-    out = [SPoly()]
+    logs = [SPoly()]
     for n in range(1, len(H)):
         # (factor, numerators, denominator) of each term of n L_n
-        terms = [(n, *h[n])]
+        terms = [(n, H[n].terms, H[n].den)]
         for j in range(1, n):
-            (lj, lden), (hk, hden) = logs[j], h[n - j]
-            if lj and hk:
-                terms.append((-j, combo_mul(lj, hk), lden * hden))
+            lj, hk = logs[j], H[n - j]
+            if lj.terms and hk.terms:
+                terms.append((-j, combo_mul(lj.terms, hk.terms), lj.den * hk.den))
         den = lcm(*(t[2] for t in terms))
         acc: dict[Monomial, int] = {}
         for factor, numerators, d in terms:
             factor *= den // d
             for m, c in numerators.items():
                 acc[m] = acc.get(m, 0) + factor * c
-        acc = {m: c for m, c in acc.items() if c}
-        g = gcd(n * den, *acc.values())
-        acc = {m: c // g for m, c in acc.items()}
-        den = n * den // g
-        logs.append((acc, den))
-        out.append(_wrap({m: Q(c, den) for m, c in acc.items()}))
-    return tuple(out)
+        logs.append(_reduced({m: c for m, c in acc.items() if c}, n * den))
+    return tuple(logs)
 
 
 def zseries_euler_sq(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:

@@ -36,8 +36,9 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterator, Mapping, Sequence
 
+from . import polyring
 from .partitions import Partition, enumerate_partitions, multiplicities, sym_factor
-from .polyring import Q, SPoly, _over_lcm, combo_mul, zseries_log
+from .polyring import SPoly, _over_lcm, combo_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
@@ -137,31 +138,37 @@ def _product_rows(
     return walk((), factors[0], d)
 
 
-def chern_from_power_integrals(P: Mapping[Partition, object], d: int) -> ChernTable:
+def chern_from_power_integrals(P: SPoly | Mapping[Partition, object], d: int) -> ChernTable:
     """Convert power-sum integrals P_lam (lam |- d) to Chern numbers.
 
     c_mu is the row of prod_i mu_i! e_mu in the power-sum basis dotted with
-    P, divided exactly by prod_i mu_i!.  P is written as integer numerators
-    over the lcm D of its denominators, so the dot products run on ints and
-    c_mu is integral exactly when D * prod_i mu_i! divides its total.  When
-    every P_nu with a part 1 is zero, as on a Kummer table, the rows drop
-    those nu (see _product_rows).  The entries come in the order of the
-    walk: (d,) first, (1, ..., 1) last.  Raises ValueError at the first
-    entry in that order that is not integral, and KeyError when a P_lam is
-    missing.
+    P, divided exactly by prod_i mu_i!.  P is integer numerators over one
+    denominator D: the SPoly sum_lam P_lam s_lam that
+    power_integrals_from_genus_poly gives is read as it is, a mapping of
+    rationals is put over the lcm of their denominators.  So the dot
+    products run on ints and c_mu is
+    integral exactly when D * prod_i mu_i! divides its total.  When every
+    P_nu with a part 1 is zero, as on a Kummer table, the rows drop those
+    nu (see _product_rows).  The entries come in the order of the walk:
+    (d,) first, (1, ..., 1) last.  Raises ValueError at the first entry in
+    that order that is not integral, and KeyError when a mapping lacks a
+    P_lam (an SPoly's absent terms are zeros).
     """
     keys = enumerate_partitions(d)
-    try:
-        numerators, D = _over_lcm({lam: P[lam] for lam in keys})
-    except KeyError as exc:
-        raise KeyError(f"power integral for {exc.args[0]} missing") from None
+    if isinstance(P, SPoly):
+        numerators, D = {**dict.fromkeys(keys, 0), **P.terms}, P.den
+    else:
+        try:
+            numerators, D = _over_lcm({lam: P[lam] for lam in keys})
+        except KeyError as exc:
+            raise KeyError(f"power integral for {exc.args[0]} missing") from None
     without_ones = not any(numerators[lam] for lam in keys if 1 in lam)
     numbers = {}
     for mu, row in _product_rows(_elementary_coefficient, d, without_ones=without_ones):
         total = sum(c * numerators[nu] for nu, c in row.items())
         scale = D * prod(map(factorial, mu))
         if total % scale:
-            raise ValueError(f"entry {mu} = {Q(total, scale)} is not integral")
+            raise ValueError(f"entry {mu} = {polyring.Q(total, scale)} is not integral")
         numbers[mu] = total // scale
     return ChernTable(d, numbers)
 
@@ -183,59 +190,69 @@ def power_integrals_from_chern(table: ChernTable) -> dict[Partition, object]:
     }
 
 
-def power_integrals_from_genus_poly(g: SPoly, d: int) -> dict[Partition, object]:
-    """Read P_lam off a universal-genus value.
+def power_integrals_from_genus_poly(g: SPoly, d: int) -> SPoly:
+    """Read P_lam off a universal-genus value, as the SPoly sum_lam P_lam s_lam.
 
     The coefficient of the monomial s_lam is P_lam divided by the product
-    of multiplicity factorials, so the extraction multiplies it back.
+    of multiplicity factorials, so the extraction multiplies its numerator
+    back; terms of other weights than d are left out.
     """
-    return {
-        lam: g.coefficient(lam) * sym_factor(lam) for lam in enumerate_partitions(d)
-    }
+    terms = g.terms
+    return SPoly.over(
+        {lam: terms[lam] * sym_factor(lam) for lam in enumerate_partitions(d) if lam in terms},
+        g.den,
+    )
 
 
-def genus_value(terms: Mapping[Partition, object], ell: Sequence[object]) -> object:
-    """sum_lam c_lam prod_i l_{lam_i}: substitute l_j for s_j in sum c_lam s_lam.
+def genus_value(g: SPoly, ell: SPoly) -> tuple[int, int]:
+    """Substitute l_j for s_j in g, for ell the linear form sum_j l_j s_j.
 
-    The sum runs on integers.  Over common denominators, l_j = a_j / L and
-    c_lam = b_lam / C, so with m the largest number of parts of a lam
+    The value is returned as an integer numerator and denominator, not
+    reduced.  With g's terms b_lam over C, l_j = a_j / L over ell's den L
+    and m the largest number of parts of a lam,
 
-        value = sum_lam b_lam * prod_i a_{lam_i} * L^(m - l(lam)) / (C * L^m) ,
-
-    and one rational is built, at the end.
+        value = sum_lam b_lam * prod_i a_{lam_i} * L^(m - l(lam)) / (C * L^m) .
     """
-    ell = ell[: max((lam[0] for lam in terms if lam), default=0)]
-    a, L = _over_lcm(dict(enumerate(ell, 1)))
-    b, C = _over_lcm(terms)
-    m = max(map(len, terms), default=0)
-    total = sum(c * prod(a[j] for j in lam) * L ** (m - len(lam)) for lam, c in b.items())
-    return Q(total, C * L**m)
+    a, L = ell.terms, ell.den
+    m = max(map(len, g.terms), default=0)
+    total = sum(
+        c * prod(a.get((j,), 0) for j in lam) * L ** (m - len(lam))
+        for lam, c in g.terms.items()
+    )
+    return total, g.den * L**m
 
 
 def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
     """Value on ``table`` of the genus with series f(x) = exp(sum l_j x^j).
 
-    ell[j-1] is l_j; entries up to the table degree are required.
+    ell[j-1] is l_j; entries up to the table degree are required.  The
+    value is a Q.
     """
     d = table.degree
     if len(ell) < d:
         raise ValueError(f"need {d} log-coefficients, got {len(ell)}")
-    P = power_integrals_from_chern(table)
-    return genus_value({lam: Q(P[lam], sym_factor(lam)) for lam in P}, ell)
+    P, D = _over_lcm(power_integrals_from_chern(table))
+    F = factorial(d)  # a multiple of every sym_factor(lam) with |lam| = d
+    g = SPoly.over({lam: p * (F // sym_factor(lam)) for lam, p in P.items()}, D * F)
+    return polyring.Q(*genus_value(g, SPoly({(j,): l for j, l in enumerate(ell[:d], 1)})))
 
 
 # -- genus presets ---------------------------------------------------------
 
 
-def _log_coefficients(a: list) -> list:
-    # log of the scalar series a (a[0] == 1), coefficients from x^1 on
-    log = zseries_log(tuple(SPoly.constant(v) for v in a))
-    return [Q(c.coefficient(())) for c in log[1:]]
+def _log_form(series: list[SPoly]) -> SPoly:
+    # sum_j l_j s_j, for log(sum_k a_k x^k) = sum_j l_j x^j with the a_k constant SPolys
+    form = SPoly()
+    for j, c in enumerate(zseries_log(tuple(series))[1:], 1):
+        form = form + c * SPoly.over({(j,): 1}, 1)
+    return form
 
 
 @lru_cache(maxsize=None)
-def genus_log_coefficients(name: str, count: int) -> tuple:
-    """log f coefficients (l_1, ..., l_count) for a named genus preset.
+def genus_log_form(name: str, count: int) -> SPoly:
+    """The linear form l_1 s_1 + ... + l_count s_count of a named genus preset.
+
+    l_j is the x^j coefficient of log f:
 
     todd:      f(x) = x / (1 - exp(-x))
     euler:     f(x) = 1 + x
@@ -243,20 +260,26 @@ def genus_log_coefficients(name: str, count: int) -> tuple:
     """
     n = count + 1
     if name == "euler":
-        ell = [Q((-1) ** (j + 1), j) for j in range(1, n)]
-    elif name == "todd":
+        return _log_form([SPoly.constant(1) if k < 2 else SPoly() for k in range(n)])
+    if name == "todd":
         # log f = -log((1 - e^-x) / x)
-        denom = [Q((-1) ** k, factorial(k + 1)) for k in range(n)]
-        ell = [-c for c in _log_coefficients(denom)]
-    elif name == "signature":
+        return -_log_form([SPoly.over({(): (-1) ** k}, factorial(k + 1)) for k in range(n)])
+    if name == "signature":
         # log f = log cosh x - log(sinh x / x)
-        cosh = [Q(1 - k % 2, factorial(k)) for k in range(n)]
-        sinh_over_x = [Q(1 - k % 2, factorial(k + 1)) for k in range(n)]
-        log_cosh, log_sinh_over_x = map(_log_coefficients, (cosh, sinh_over_x))
-        ell = [a - b for a, b in zip(log_cosh, log_sinh_over_x)]
-    else:
-        raise ValueError(f"unknown genus preset {name!r}")
-    return tuple(ell)
+        cosh = [SPoly.over({(): 1 - k % 2}, factorial(k)) for k in range(n)]
+        sinh_over_x = [SPoly.over({(): 1 - k % 2}, factorial(k + 1)) for k in range(n)]
+        return _log_form(cosh) - _log_form(sinh_over_x)
+    raise ValueError(f"unknown genus preset {name!r}")
+
+
+@lru_cache(maxsize=None)
+def genus_log_coefficients(name: str, count: int) -> tuple:
+    """log f coefficients (l_1, ..., l_count), as Qs, for a named genus preset.
+
+    See genus_log_form for the presets.
+    """
+    form = genus_log_form(name, count)
+    return tuple(form.coefficient((j,)) for j in range(1, count + 1))
 
 
 GENUS_PRESETS = ("todd", "euler", "signature")

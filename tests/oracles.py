@@ -12,7 +12,9 @@ the power-sum basis by their closed form, against which the rows of the
 library's depth-first conversion walks are checked.
 
 A truncated series is a plain tuple of SPoly coefficients, handled by the
-zseries_* helpers.  The literal localization oracle (fixed_point_contribution,
+zseries_* helpers; fraction_zseries_log takes the logarithm of one by its
+defining sum on Fractions, apart from SPoly's integer numerators.  The
+literal localization oracle (fixed_point_contribution,
 localized_twisted_sums) reads each point's tangent data from
 direct_tangent_data, so it shares no tangent-data code with the kernel.
 """
@@ -349,6 +351,41 @@ def zseries_exp(S: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
             acc = acc + (Sj * E[n - j]).scale(j)
         E.append(acc.scale(Q(1, n)))
     return tuple(E)
+
+
+# -- z-series of Fraction dicts, apart from SPoly's integer form -------------
+
+
+def spoly_fractions(p: SPoly) -> dict[tuple[int, ...], Fraction]:
+    """The coefficients of p as Fractions, each numerator over p.den."""
+    return {m: Fraction(c, p.den) for m, c in p.terms.items()}
+
+
+def _fraction_series_mul(A: list[dict], B: list[dict]) -> list[dict]:
+    # truncated product of two series of Fraction dicts of the same order
+    out: list[dict] = [{} for _ in A]
+    for i, a in enumerate(A):
+        for j, b in enumerate(B[: len(A) - i]):
+            for mono, c in combo_mul(a, b).items():
+                out[i + j][mono] = out[i + j].get(mono, 0) + c
+    return out
+
+
+def fraction_zseries_log(H: tuple[SPoly, ...]) -> list[dict[tuple[int, ...], Fraction]]:
+    """ln H through the order of H, as Fraction dicts, by its defining sum.
+
+    sum_{m>=1} (-1)^(m+1) X^m / m with X = H - 1 on dicts of Fractions;
+    X^m starts at z^m, so the sum stops at m = the order of H.
+    """
+    X = [{}] + [spoly_fractions(c) for c in H[1:]]
+    out: list[dict] = [{} for _ in H]
+    power = X
+    for m in range(1, len(H)):
+        for n, coeff in enumerate(power):
+            for mono, c in coeff.items():
+                out[n][mono] = out[n].get(mono, 0) + Fraction((-1) ** (m + 1), m) * c
+        power = _fraction_series_mul(power, X)
+    return [{mono: c for mono, c in coeff.items() if c} for coeff in out]
 
 
 # -- scalar power series in x, as Fraction lists ------------------------------

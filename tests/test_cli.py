@@ -231,18 +231,27 @@ def test_output_is_deterministic_across_runs(capsys):
     assert len(outputs) == 1
 
 
-def test_cold_import_loads_neither_dataclasses_nor_inspect():
-    # every command is a fresh process; the dataclasses chain costs about
-    # 13 ms, reading the reference table through importlib.resources
-    # (pathlib, zipfile, tempfile) made verify --n-max 2 about 26 ms slower
-    # under -S, and csv, needed only by --format csv, costs about 1 ms.
-    # shutil is not listed: argparse itself loads it.
+# modules a cold verify or hilbert must not load: the dataclasses chain
+# costs about 13 ms; reading the reference table through
+# importlib.resources (pathlib, zipfile, tempfile) made verify --n-max 2
+# about 26 ms slower under -S; csv, needed only by --format csv, costs about
+# 1 ms; and fractions with decimal and numbers about 2.7 ms of CPU, while
+# both commands run on integers and return no rational.  shutil is not
+# listed: argparse itself loads it.
+COLD_UNLOADED = (
+    "dataclasses", "inspect", "importlib.resources", "pathlib", "zipfile", "tempfile",
+    "csv", "fractions", "decimal", "numbers",
+)
+
+
+def _cold_loaded(argv: list[str]) -> str:
+    # runs cli.main(argv) in a fresh interpreter without site; prints its
+    # output, then the exit code and the COLD_UNLOADED modules it loaded
     src = str(Path(cli.__file__).parents[1])
     probe = (
         "import sys; from kummer_chern import cli; "
-        "code = cli.main(['verify', '--n-max', '2']); "
-        "print(code, sorted({'dataclasses', 'inspect', 'importlib.resources', "
-        "'pathlib', 'zipfile', 'tempfile', 'csv'} & set(sys.modules)))"
+        f"code = cli.main({argv!r}); "
+        f"print(code, sorted(set({COLD_UNLOADED!r}) & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -251,7 +260,34 @@ def test_cold_import_loads_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 of 1 entries match\n0 []\n"
+    return proc.stdout
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    assert _cold_loaded(["verify", "--n-max", "2"]) == "1 of 1 entries match\n0 []\n"
+
+
+def test_cold_hilbert_loads_no_rational_type():
+    out = _cold_loaded(["hilbert", "--k", "2", "--format", "json"])
+    assert out.endswith("\n]\n0 []\n") and json.loads(out[: -len("0 []\n")])[0]["k"] == 2
+
+
+def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):
+    # _over_lcm puts rationals that callers pass in over one denominator;
+    # from the kernel to the Chern table the pipeline has integer
+    # numerators already and must not call it
+    from kummer_chern import assembly, polyring, symfun
+
+    def refused(values):
+        raise AssertionError("_over_lcm called on the integer path")
+
+    monkeypatch.setattr(polyring, "_over_lcm", refused)
+    monkeypatch.setattr(symfun, "_over_lcm", refused)
+    monkeypatch.setattr(assembly, "_assembled", {})
+    symfun.genus_log_form.cache_clear()
+    assert run(capsys, "verify", "--n-max", "4") == (0, "6 of 6 entries match\n", "")
+    code, out, err = run(capsys, "hilbert", "--k", "3", "--surface", "p1xp1")
+    assert (code, err) == (0, "") and "  c6 | 40" in out.splitlines()
 
 
 # every (command, format) pair, pinned byte for byte

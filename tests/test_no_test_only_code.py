@@ -18,17 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # qualified name -> why it may stay unentered by the runs below
 ALLOWED = {
     **dict.fromkeys(
-        (
-            "polyring.SPoly.__add__",
-            "polyring.SPoly.__neg__",
-            "polyring.SPoly.__sub__",
-            "polyring.SPoly.__mul__",
-            "polyring.SPoly.__eq__",
-            "polyring.SPoly.__repr__",
-        ),
-        "SPoly arithmetic: the public series type, used by the literal "
-        "localization oracle in tests/oracles.py and planned for the Hilbert "
-        "series of any (c1^2, c2) (ROADMAP item 6)",
+        ("polyring.SPoly.__eq__", "polyring.SPoly.__repr__"),
+        "value-type API of the public series type, used by the tests and the "
+        "literal localization oracle in tests/oracles.py",
     ),
     "polyring.SPoly.__str__": "used only in check messages",
     "symfun.ChernTable.__eq__": "value-type API",

@@ -1,3 +1,5 @@
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,9 @@ from kummer_chern.polyring import (
 )
 
 from oracles import (
+    fraction_zseries_log,
     spoly_div,
+    spoly_fractions,
     spoly_one,
     spoly_variable,
     zseries_add,
@@ -176,6 +180,44 @@ def test_zseries_log_on_large_coprime_denominators():
     assert L == literal
     S = (SPoly(), *H[1:])
     assert zseries_log(zseries_exp(S)) == S
+
+
+def is_reduced(p: SPoly) -> bool:
+    # integer numerators over a positive int den, sharing no factor with it
+    return (
+        type(p.den) is int
+        and p.den > 0
+        and all(type(c) is int and c for c in p.terms.values())
+        and gcd(p.den, *p.terms.values()) == 1
+    )
+
+
+integer_spolys = st.dictionaries(
+    monomials, st.integers(min_value=-9, max_value=9), max_size=4
+).map(SPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(integer_spolys, min_size=1, max_size=4))
+def test_zseries_log_of_an_integer_series_is_reduced_and_the_fraction_log(tail):
+    H = (spoly_one(), *tail)
+    L = zseries_log(H)
+    assert all(map(is_reduced, L))
+    assert [spoly_fractions(c) for c in L] == fraction_zseries_log(H)
+    assert zseries_exp(L) == H
+
+
+@settings(max_examples=60, deadline=None)
+@given(spolys, spolys, rationals)
+def test_arithmetic_keeps_the_reduced_form(a, b, c):
+    results = [a, b, a + b, a - b, -a, a * b, a.scale(c), a.scale(7, -6), a.off_weight_part(2)]
+    assert all(map(is_reduced, results))
+    for p in results:
+        # the reduced form is unique: den is the lcm of the reduced
+        # denominators of the coefficients, which rebuild p
+        coefficients = {m: p.coefficient(m) for m in p.terms}
+        assert p.den == lcm(*(int(v.denominator) for v in coefficients.values()))
+        assert SPoly(coefficients) == p
 
 
 def test_euler_square_operator():

@@ -287,8 +287,9 @@ def test_insufficient_log_coefficients():
 
 
 def test_genus_value_matches_the_literal_fraction_sum():
-    # genus_value sums on integers over common denominators; the literal
-    # sum of c_lam * prod_i l_{lam_i} in Fractions is the reference
+    # genus_value sums on integers over the dens of g and of the linear form
+    # sum_j l_j s_j; the literal sum of c_lam * prod_i l_{lam_i} in
+    # Fractions is the reference
     rng = random.Random(22)
 
     def frac(x):  # int, Fraction or gmpy2 mpq
@@ -313,13 +314,14 @@ def test_genus_value_matches_the_literal_fraction_sum():
         else:
             terms = {lam: rational() for lam in lams}
             ell = [rational() for _ in range(d + rng.randint(0, 2))]
-        value = genus_value(terms, ell)
-        assert type(value) is type(Q(1))
-        assert frac(value) == literal(terms, ell)
+        total, den = genus_value(SPoly(terms), SPoly({(j,): l for j, l in enumerate(ell, 1)}))
+        assert type(total) is int and type(den) is int and den > 0
+        value = Fraction(total, den)
+        assert value == literal(terms, ell)
         seen_non_integral = seen_non_integral or value.denominator != 1
     assert seen_non_integral
-    assert genus_value({}, []) == 0 and genus_value({}, [Q(1, 3)]) == 0
-    assert type(genus_value({}, [])) is type(Q(1))
+    assert genus_value(SPoly(), SPoly()) == (0, 1)
+    assert genus_value(SPoly(), SPoly({(1,): Q(1, 3)})) == (0, 1)
 
 
 def test_genus_multiplicative_on_products_of_surfaces():
@@ -346,10 +348,14 @@ def test_genus_multiplicative_on_products_of_surfaces():
 def test_extraction_from_genus_polynomial():
     g = SPoly({(2,): Q(-48)})
     P = power_integrals_from_genus_poly(g, 2)
-    assert P == {(2,): -48, (1, 1): 0}
+    assert P == SPoly({(2,): -48}) and P.coefficient((1, 1)) == 0
     g = SPoly({(1, 1): Q(9, 2), (2,): Q(3)})
     P = power_integrals_from_genus_poly(g, 2)
-    assert P[(1, 1)] == 9 and P[(2,)] == 3
+    assert P.coefficient((1, 1)) == 9 and P.coefficient((2,)) == 3
+    # numerators over one den, reduced: 1/2 * 2! and 1/3 over 3, then off weight
+    g = SPoly({(1, 1): Q(1, 2), (2,): Q(1, 3), (3,): Q(1, 5)})
+    P = power_integrals_from_genus_poly(g, 2)
+    assert (P.terms, P.den) == ({(1, 1): 3, (2,): 1}, 3)
 
 
 def test_chern_key_formatting():
@@ -389,7 +395,8 @@ def test_rows_drop_part_one_keys_only_when_the_data_vanish_there(row_switches):
     from kummer_chern.localization import find_generic_model
 
     d = 4
-    kummer = power_integrals_from_genus_poly(kummer_genus_series(find_generic_model("p2", 3), 3)[3], d)
+    genus_P = power_integrals_from_genus_poly(kummer_genus_series(find_generic_model("p2", 3), 3)[3], d)
+    kummer = {nu: genus_P.coefficient(nu) for nu in enumerate_partitions(d)}
     with_ones = [nu for nu in enumerate_partitions(d) if 1 in nu]
     assert not any(kummer[nu] for nu in with_ones)
     walk_order = sorted(enumerate_partitions(d), key=lambda mu: mu[::-1], reverse=True)
@@ -400,8 +407,9 @@ def test_rows_drop_part_one_keys_only_when_the_data_vanish_there(row_switches):
             for mu in walk_order
         }
 
+    assert chern_from_power_integrals(genus_P, d).numbers == full_rows(kummer)
     assert chern_from_power_integrals(kummer, d).numbers == full_rows(kummer)
-    assert row_switches == [True]
+    assert row_switches == [True, True]
     outcomes = set()
     for nu in with_ones:
         for value in (1, 24, Q(-1, 2)):
@@ -439,7 +447,7 @@ def test_evaluate_genus_keeps_the_full_rows_on_hilbert_tables(row_switches):
         row_switches.clear()
         assert evaluate_genus(table, genus_log_coefficients("todd", 2 * k)) == 1, k
         P = power_integrals_from_chern(table)
-        assert P == power_integrals_from_genus_poly(hilbert_genus(m, k), 2 * k), k
+        assert SPoly(P) == power_integrals_from_genus_poly(hilbert_genus(m, k), 2 * k), k
         assert row_switches == [False, False], k
     kummer = kummer_chern_numbers(m, 4).chern
     row_switches.clear()
