@@ -11,10 +11,9 @@ coefficients, z^0 first; its order is its length minus one.
 The pipeline runs on integers: an SPoly is integer numerators over one
 denominator, from the localization kernel to the Chern table.  Q, the
 type of the rationals the library returns (genus values, log-coefficients,
-single coefficients and check messages), is gmpy2.mpq when available and
-the standard library's Fraction otherwise.  It is resolved on first use,
-so a run that returns only integers imports neither.  Both are exact;
-results are identical.
+single coefficients and check messages), is the standard library's
+Fraction.  It is resolved on first use, so a run that returns only
+integers does not import fractions.
 """
 
 from __future__ import annotations
@@ -32,10 +31,7 @@ def __getattr__(name: str):
     if name != "Q":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     global Q
-    try:  # pragma: no cover - exercised implicitly by the whole suite
-        from gmpy2 import mpq as Q
-    except ImportError:  # pragma: no cover
-        from fractions import Fraction as Q
+    from fractions import Fraction as Q
     return Q
 
 
@@ -68,10 +64,8 @@ def combo_mul(a: Mapping, b: Mapping) -> dict[Monomial, object]:
 
 def _over_lcm(values: Mapping) -> tuple[dict, int]:
     # the rational values as integer numerators over the lcm of their denominators
-    den = lcm(*(int(c.denominator) for c in values.values()))
-    return {
-        key: int(c.numerator) * (den // int(c.denominator)) for key, c in values.items()
-    }, den
+    den = lcm(*(c.denominator for c in values.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in values.items()}, den
 
 
 def _reduced(terms: dict[Monomial, int], den: int) -> "SPoly":
@@ -117,8 +111,8 @@ class SPoly:
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, mono: Monomial):
-        """The coefficient of mono, a Q."""
-        return _rational(self.terms.get(tuple(mono), 0), self.den)
+        """The coefficient of mono, a Q; its subscripts may come in any order."""
+        return _rational(self.terms.get(tuple(sorted(mono, reverse=True)), 0), self.den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -154,7 +148,7 @@ class SPoly:
 
     def scale(self, c, den: int = 1) -> "SPoly":
         """This polynomial times c / den, for an int or rational c and an int den."""
-        num, den = int(c.numerator), int(c.denominator) * den
+        num, den = c.numerator, c.denominator * den
         if not den:
             raise ZeroDivisionError("SPoly scaled by a zero denominator")
         if den < 0:

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import polyring
 from .partitions import Partition, enumerate_partitions, multiplicities, sym_factor
-from .polyring import SPoly, _over_lcm, combo_mul, zseries_log
+from .polyring import SPoly, combo_mul, zseries_log
 
 # A linear combination of p_lam (or e_lam) basis elements.
 Combo = dict[Partition, object]
@@ -138,34 +138,25 @@ def _product_rows(
     return walk((), factors[0], d)
 
 
-def chern_from_power_integrals(P: SPoly | Mapping[Partition, object], d: int) -> ChernTable:
+def chern_from_power_integrals(P: SPoly, d: int) -> ChernTable:
     """Convert power-sum integrals P_lam (lam |- d) to Chern numbers.
 
-    c_mu is the row of prod_i mu_i! e_mu in the power-sum basis dotted with
-    P, divided exactly by prod_i mu_i!.  P is integer numerators over one
-    denominator D: the SPoly sum_lam P_lam s_lam that
-    power_integrals_from_genus_poly gives is read as it is, a mapping of
-    rationals is put over the lcm of their denominators.  So the dot
-    products run on ints and c_mu is
-    integral exactly when D * prod_i mu_i! divides its total.  When every
-    P_nu with a part 1 is zero, as on a Kummer table, the rows drop those
-    nu (see _product_rows).  The entries come in the order of the walk:
-    (d,) first, (1, ..., 1) last.  Raises ValueError at the first entry in
-    that order that is not integral, and KeyError when a mapping lacks a
-    P_lam (an SPoly's absent terms are zeros).
+    P is the SPoly sum_lam P_lam s_lam, integer numerators over one
+    denominator D, as power_integrals_from_genus_poly and
+    power_integrals_from_chern give it; an absent term is a zero.  c_mu is
+    the row of prod_i mu_i! e_mu in the power-sum basis dotted with P,
+    divided exactly by prod_i mu_i!.  So the dot products run on ints and
+    c_mu is integral exactly when D * prod_i mu_i! divides its total.  When
+    every P_nu with a part 1 is zero, as on a Kummer table, the rows drop
+    those nu (see _product_rows).  The entries come in the order of the
+    walk: (d,) first, (1, ..., 1) last.  Raises ValueError at the first
+    entry in that order that is not integral.
     """
-    keys = enumerate_partitions(d)
-    if isinstance(P, SPoly):
-        numerators, D = {**dict.fromkeys(keys, 0), **P.terms}, P.den
-    else:
-        try:
-            numerators, D = _over_lcm({lam: P[lam] for lam in keys})
-        except KeyError as exc:
-            raise KeyError(f"power integral for {exc.args[0]} missing") from None
-    without_ones = not any(numerators[lam] for lam in keys if 1 in lam)
+    numerators, D = P.terms, P.den
+    without_ones = not any(1 in lam for lam in numerators)
     numbers = {}
     for mu, row in _product_rows(_elementary_coefficient, d, without_ones=without_ones):
-        total = sum(c * numerators[nu] for nu, c in row.items())
+        total = sum(c * numerators.get(nu, 0) for nu, c in row.items())
         scale = D * prod(map(factorial, mu))
         if total % scale:
             raise ValueError(f"entry {mu} = {polyring.Q(total, scale)} is not integral")
@@ -173,21 +164,19 @@ def chern_from_power_integrals(P: SPoly | Mapping[Partition, object], d: int) ->
     return ChernTable(d, numbers)
 
 
-def power_integrals_from_chern(table: ChernTable) -> dict[Partition, object]:
-    """Inverse conversion: P_lam from the Chern numbers.
+def power_integrals_from_chern(table: ChernTable) -> SPoly:
+    """Inverse conversion: the SPoly sum_lam P_lam s_lam from the Chern numbers.
 
-    The rows are integral, so an integral table gives int entries.  When
-    every entry with a part 1 is zero, as on a Kummer table, the rows drop
-    those keys (see _product_rows).
+    The rows are integral, so an integral table gives den 1.  When every
+    entry with a part 1 is zero, as on a Kummer table, the rows drop those
+    keys (see _product_rows).
     """
     numbers = table.numbers
     without_ones = not any(c for mu, c in numbers.items() if 1 in mu)
-    return {
-        lam: sum(c * numbers.get(mu, 0) for mu, c in row.items())
-        for lam, row in _product_rows(
-            _power_coefficient, table.degree, without_ones=without_ones
-        )
-    }
+    rows = _product_rows(_power_coefficient, table.degree, without_ones=without_ones)
+    return SPoly(
+        {lam: sum(c * numbers.get(mu, 0) for mu, c in row.items()) for lam, row in rows}
+    )
 
 
 def power_integrals_from_genus_poly(g: SPoly, d: int) -> SPoly:
@@ -231,9 +220,9 @@ def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
     d = table.degree
     if len(ell) < d:
         raise ValueError(f"need {d} log-coefficients, got {len(ell)}")
-    P, D = _over_lcm(power_integrals_from_chern(table))
+    P = power_integrals_from_chern(table)
     F = factorial(d)  # a multiple of every sym_factor(lam) with |lam| = d
-    g = SPoly.over({lam: p * (F // sym_factor(lam)) for lam, p in P.items()}, D * F)
+    g = SPoly.over({lam: p * (F // sym_factor(lam)) for lam, p in P.terms.items()}, P.den * F)
     return polyring.Q(*genus_value(g, SPoly({(j,): l for j, l in enumerate(ell[:d], 1)})))
 
 
@@ -272,7 +261,6 @@ def genus_log_form(name: str, count: int) -> SPoly:
     raise ValueError(f"unknown genus preset {name!r}")
 
 
-@lru_cache(maxsize=None)
 def genus_log_coefficients(name: str, count: int) -> tuple:
     """log f coefficients (l_1, ..., l_count), as Qs, for a named genus preset.
 

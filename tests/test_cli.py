@@ -273,7 +273,7 @@ def test_cold_hilbert_loads_no_rational_type():
 
 
 def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):
-    # _over_lcm puts rationals that callers pass in over one denominator;
+    # _over_lcm puts the rationals of SPoly(mapping) over one denominator;
     # from the kernel to the Chern table the pipeline has integer
     # numerators already and must not call it
     from kummer_chern import assembly, polyring, symfun
@@ -282,7 +282,6 @@ def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):
         raise AssertionError("_over_lcm called on the integer path")
 
     monkeypatch.setattr(polyring, "_over_lcm", refused)
-    monkeypatch.setattr(symfun, "_over_lcm", refused)
     monkeypatch.setattr(assembly, "_assembled", {})
     symfun.genus_log_form.cache_clear()
     assert run(capsys, "verify", "--n-max", "4") == (0, "6 of 6 entries match\n", "")

@@ -1,8 +1,12 @@
+import fractions
+import sys
+import types
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kummer_chern import polyring
 from kummer_chern.polyring import (
     Q,
     SPoly,
@@ -54,6 +58,24 @@ def test_scalar_arithmetic_and_division():
     assert (p - SPoly.constant(2)) == s(1)
     assert spoly_div(s(2).scale(6), 3) == s(2).scale(2)
     assert s(1).scale(Q(1, 2)).scale(2) == s(1)
+
+
+def test_coefficient_reads_the_subscripts_in_any_order():
+    # (2, 1, 1), (1, 2, 1) and (1, 1, 2) all name s2*s1^2
+    p = SPoly({(2, 1, 1): Q(-81, 2), (3,): 4})
+    for mono in ((2, 1, 1), (1, 2, 1), (1, 1, 2), [1, 1, 2]):
+        assert p.coefficient(mono) == Q(-81, 2), mono
+    assert p.coefficient((3,)) == 4 and p.coefficient((2, 2)) == 0
+
+
+def test_rationals_are_fractions_even_with_a_gmpy2_module_present(monkeypatch):
+    # Q is resolved on first use; a stand-in gmpy2 with an mpq must not be it
+    stand_in = types.ModuleType("gmpy2")
+    stand_in.mpq = object
+    monkeypatch.delitem(polyring.__dict__, "Q", raising=False)
+    monkeypatch.setitem(sys.modules, "gmpy2", stand_in)
+    assert type(SPoly({(1,): Q(1, 2)}).coefficient((1,))) is fractions.Fraction
+    assert polyring.Q is fractions.Fraction
 
 
 def test_str_renders_terms_by_weight():
