@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 verification mismatch or a failed internal check
 the library's), 2 invalid configuration (every invalid argument is the
 parser's usage error; an --out file that cannot be opened is one line,
 before any computation),
-3 genericity failure (the explicitly requested weights are degenerate).
+3 genericity failure (at the explicitly requested weights a tangent weight of
+a localized fixed point vanishes; see localization.is_generic).
 """
 
 from __future__ import annotations

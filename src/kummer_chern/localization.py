@@ -43,7 +43,7 @@ from .polyring import SPoly
 
 
 class GenericityError(Exception):
-    """A chart or tangent weight vanished at the given torus parameters."""
+    """A tangent weight of a localized fixed point vanished at these weights."""
 
 
 class CheckError(Exception):
@@ -79,7 +79,7 @@ def _fan(name: str) -> tuple[tuple[int, int], ...]:
 
 
 def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
-    """Surface model at torus parameters (a, b); rejects zero chart weights.
+    """Surface model at torus parameters (a, b), generic or not (see is_generic).
 
     One chart per cone of the fan, by the formula in the module docstring.
     A fan with m rays has m fixed points, so c2 = m, and c1^2 = 12 - m by
@@ -90,20 +90,18 @@ def build_surface_model(name: str, a: int, b: int) -> SurfaceModel:
         (v2 * a - v1 * b, u1 * b - u2 * a)
         for (u1, u2), (v1, v2) in zip(rays, rays[1:] + rays[:1])
     )
-    for i, (v1, v2) in enumerate(charts):
-        if v1 == 0 or v2 == 0:
-            raise GenericityError(
-                f"chart {i} of {name} has a zero weight at (a, b) = ({a}, {b})"
-            )
     return SurfaceModel(name, charts, 12 - len(rays), len(rays), (a, b))
 
 
 def is_generic(model: SurfaceModel, depth: int) -> bool:
     """True if no tangent weight vanishes for any partition of size <= depth.
 
+    This is the one genericity rule: the residue formula needs no more.
     Every cell of such a partition is one of _hooks(depth), and each of
     those is a cell of one (the hook with that arm and leg), so checking
-    the hooks' cell weights in each chart is exact.
+    the hooks' cell weights in each chart is exact.  The hook (0, 0), the
+    one-box partition, has the chart's own two weights, so a zero chart
+    weight fails from depth 1 on; at depth 0 there is no tangent weight.
     """
     hooks = _hooks(depth)
     return all(
@@ -140,9 +138,9 @@ def find_generic_model(
 ) -> SurfaceModel:
     """Build a model generic up to Hilbert depth ``depth``.
 
-    Explicit weights are used as given and must pass the genericity
-    precheck; without them the model uses ``default_weights(name, depth)``,
-    which pass on every fan.
+    Explicit weights are used as given and must pass is_generic at
+    ``depth``, or GenericityError is raised; without them the model uses
+    ``default_weights(name, depth)``, which pass on every fan.
     """
     if weights is None:
         weights = default_weights(name, depth)

@@ -248,6 +248,8 @@ def test_hilbert_chern_numbers(p2):
     assert all(isinstance(v, int) for v in two.numbers.values())
     zero = hilbert_chern_numbers(p2, 0)
     assert dict(zero.numbers) == {(): 1}
+    # the point has no tangent weight, so zero chart weights localize it too
+    assert hilbert_chern_numbers(build_surface_model("p2", 0, 0), 0) == zero
 
 
 def test_hilbert_top_chern_number_counts_the_fixed_points():

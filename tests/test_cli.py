@@ -164,6 +164,11 @@ def test_hilbert_k0(capsys):
     code, out, _ = run(capsys, "hilbert", "--k", "0")
     assert code == 0
     assert "1 | 1" in out
+    # the Hilbert scheme of 0 points has no tangent weight that could vanish,
+    # so zero chart weights print the same table
+    for surface in ("p2", "p1xp1"):
+        argv = ("hilbert", "--k", "0", "--surface", surface)
+        assert run(capsys, *argv, "--weights", "0,0") == run(capsys, *argv)
 
 
 def test_genus_todd(capsys):
@@ -188,10 +193,22 @@ def test_genus_unknown_preset_is_usage_error(capsys):
     usage_error(capsys, "genus", "--name", "elliptic", "--n-max", "2")
 
 
-def test_explicit_degenerate_weights_exit_3(capsys):
-    code, _, err = run(capsys, "compute", "--n-max", "3", "--weights", "1,2")
-    assert code == 3
-    assert "genericity" in err
+# a zero cell weight, then zero chart weights: the chart weights are the
+# one-box partition's tangent weights, so every case fails the one rule
+DEGENERATE = {
+    ("compute", "--n-max", "3", "--weights", "1,2"): "(1, 2) are degenerate for p2 at depth 3",
+    ("verify", "--n-max", "2", "--weights", "1,1"): "(1, 1) are degenerate for p2 at depth 2",
+    ("hilbert", "--k", "1", "--surface", "p1xp1", "--weights", "1,0"): (
+        "(1, 0) are degenerate for p1xp1 at depth 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(DEGENERATE), ids=" ".join)
+def test_explicit_degenerate_weights_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"genericity failure: weights {DEGENERATE[argv]}\n"
 
 
 def test_explicit_good_weights_work(capsys):

@@ -55,8 +55,16 @@ def test_p2_model_at_1_2():
 
 
 def test_p2_model_at_1_1_is_degenerate():
-    with pytest.raises(GenericityError):
-        build_surface_model("p2", 1, 1)
+    # charts 1 and 2 have a zero weight: the model builds, and the one
+    # genericity rule refuses it from depth 1 on, where the one-box
+    # partition's tangent weights are the chart weights
+    m = build_surface_model("p2", 1, 1)
+    assert m.charts == ((1, 1), (0, -1), (-1, 0))
+    assert is_generic(m, 0) and not is_generic(m, 1)
+    with pytest.raises(GenericityError, match="degenerate for p2 at depth 1"):
+        find_generic_model("p2", 1, weights=(1, 1))
+    with pytest.raises(GenericityError, match="degenerate for p2 at depth 1"):
+        localized_sums(m, 1)
 
 
 def test_p1xp1_model():
@@ -123,16 +131,14 @@ def test_default_weights_read_the_bound_off_the_fan(extra_fans):
 def test_is_generic_is_no_zero_tangent_weight(extra_fans):
     # is_generic decides on hooks; by definition a model is generic to depth
     # d when no tangent weight of a partition of size 1..d vanishes in any
-    # chart.  Weights with a zero chart weight are rejected before that.
+    # chart.  That includes a zero chart weight, the one-box partition's.
     rng = random.Random(20)
-    cases = degenerate = 0
+    cases = degenerate = zero_chart = 0
     for name in SURFACE_NAMES + tuple(extra_fans):
         for _ in range(150):
             a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-            try:
-                m = build_surface_model(name, a, b)
-            except GenericityError:
-                continue
+            m = build_surface_model(name, a, b)
+            zero_chart += any(0 in chart for chart in m.charts)
             generic = True
             for d in range(7):
                 generic = generic and all(
@@ -143,8 +149,10 @@ def test_is_generic_is_no_zero_tangent_weight(extra_fans):
                 assert is_generic(m, d) == generic, (name, (a, b), d)
                 cases += 1
                 degenerate += not generic
-    # both answers occur, so the comparison is not vacuous
+    # both answers occur, and zero chart weights are among the degenerate
+    # cases, so the comparison is not vacuous
     assert 0 < degenerate < cases
+    assert zero_chart > 0
 
 
 def test_tangent_data_at_a_point():
@@ -221,7 +229,7 @@ def test_tangent_weights_zero_weight_raises(tangent_data_calls):
 def test_zero_tangent_weight_raises_through_the_pieces_path(tangent_data_calls):
     # a zero chart weight is a zero tangent weight of the one-box partition:
     # it raises before localized_sums builds any piece
-    zero_chart = SurfaceModel("p2", ((1, 2), (0, 1), (-2, -1)), 9, 3, (1, 2))
+    zero_chart = build_surface_model("p2", 1, 1)
     assert 0 in cell_hook_weights(zero_chart.charts[1], (1,))
     with pytest.raises(GenericityError, match="degenerate for p2 at depth 1"):
         localized_sums(zero_chart, 1)
