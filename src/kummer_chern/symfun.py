@@ -10,7 +10,10 @@ Both directions of the conversion are one depth-first product walk over
 the partitions of the degree d: the row of mu is the product of the
 factors of its parts, and a child's row is its new part's factor times
 its parent's row, so only the rows on the current path are alive.  The
-factors have integer coefficients,
+rows keep only the keys whose parts the data use: a Kummer table uses no
+odd part (power integrals with an odd part vanish on a hyper-Kaehler
+manifold), a Hilbert table uses every part.  The factors have integer
+coefficients,
 
     p_r    = sum_{lam |- r} (-1)^(r - l(lam)) r (l(lam) - 1)! / m(lam) * e_lam ,
     r! e_r = sum_{nu |- r} (-1)^(r - l(nu)) r! / z_nu * p_nu
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, prod
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import polyring
 from .partitions import Partition, enumerate_partitions, multiplicities, sym_factor
@@ -99,30 +102,25 @@ def _elementary_coefficient(r: int, nu: Partition) -> int:
 
 
 def _product_rows(
-    coefficient: Callable[[int, Partition], int], d: int, *, without_ones: bool = False
+    coefficient: Callable[[int, Partition], int], d: int, support: Iterable[Partition]
 ) -> Iterator[tuple[Partition, Combo]]:
     """(mu, prod_i factor(mu_i)) for every partition mu of d, depth first.
 
-    factor(r) is {lam: coefficient(r, lam) for lam |- r}.  A child of mu
-    puts a part >= mu[0] in front, and its row is that part's factor times
-    the row of mu; it leaves a remainder of 0 or at least its part, so every
-    path ends at a partition of d.  Larger parts are tried first, so the
-    partitions come in decreasing order read from their smallest part:
-    (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1) for d = 4.
+    factor(r) is {lam: coefficient(r, lam) for lam |- r}, keeping only the
+    lam whose parts all occur in the keys of support, the data's nonzero
+    entries.  A product's key has a part exactly when one of its factors'
+    keys has, so a dropped key meets only zeros of the data: every dot
+    product with them is the same as on the full rows.
 
-    The caller sets without_ones when the data say that every key with a
-    part 1 meets a zero: such a key is dropped from the factors, and so
-    from every row, since a product's key has a part 1 exactly when one of
-    its factors' keys has.  The rows are then the full rows modulo p_1
-    (or e_1), much shorter, and every dot product with the data is the
-    same.  Every mu is still walked.
+    A child of mu puts a part >= mu[0] in front, and its row is that part's
+    factor times the row of mu; it leaves a remainder of 0 or at least its
+    part, so every path ends at a partition of d.  Larger parts are tried
+    first, so the partitions come in decreasing order read from their
+    smallest part: (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1) for d = 4.
     """
+    parts = {part for key in support for part in key}
     factors = [{(): 1}] + [
-        {
-            lam: coefficient(r, lam)
-            for lam in enumerate_partitions(r)
-            if not (without_ones and 1 in lam)
-        }
+        {lam: coefficient(r, lam) for lam in enumerate_partitions(r) if parts.issuperset(lam)}
         for r in range(1, d + 1)
     ]
 
@@ -146,16 +144,14 @@ def chern_from_power_integrals(P: SPoly, d: int) -> ChernTable:
     power_integrals_from_chern give it; an absent term is a zero.  c_mu is
     the row of prod_i mu_i! e_mu in the power-sum basis dotted with P,
     divided exactly by prod_i mu_i!.  So the dot products run on ints and
-    c_mu is integral exactly when D * prod_i mu_i! divides its total.  When
-    every P_nu with a part 1 is zero, as on a Kummer table, the rows drop
-    those nu (see _product_rows).  The entries come in the order of the
-    walk: (d,) first, (1, ..., 1) last.  Raises ValueError at the first
-    entry in that order that is not integral.
+    c_mu is integral exactly when D * prod_i mu_i! divides its total.  The
+    rows keep only the parts of P's keys (see _product_rows).  The entries
+    come in the order of the walk: (d,) first, (1, ..., 1) last.  Raises
+    ValueError at the first entry in that order that is not integral.
     """
     numerators, D = P.terms, P.den
-    without_ones = not any(1 in lam for lam in numerators)
     numbers = {}
-    for mu, row in _product_rows(_elementary_coefficient, d, without_ones=without_ones):
+    for mu, row in _product_rows(_elementary_coefficient, d, numerators):
         total = sum(c * numerators.get(nu, 0) for nu, c in row.items())
         scale = D * prod(map(factorial, mu))
         if total % scale:
@@ -167,13 +163,12 @@ def chern_from_power_integrals(P: SPoly, d: int) -> ChernTable:
 def power_integrals_from_chern(table: ChernTable) -> SPoly:
     """Inverse conversion: the SPoly sum_lam P_lam s_lam from the Chern numbers.
 
-    The rows are integral, so an integral table gives den 1.  When every
-    entry with a part 1 is zero, as on a Kummer table, the rows drop those
-    keys (see _product_rows).
+    The rows are integral, so an integral table gives den 1.  They keep
+    only the parts of the table's nonzero entries (see _product_rows).
     """
     numbers = table.numbers
-    without_ones = not any(c for mu, c in numbers.items() if 1 in mu)
-    rows = _product_rows(_power_coefficient, table.degree, without_ones=without_ones)
+    support = [mu for mu, c in numbers.items() if c]
+    rows = _product_rows(_power_coefficient, table.degree, support)
     return SPoly(
         {lam: sum(c * numbers.get(mu, 0) for mu, c in row.items()) for lam, row in rows}
     )

@@ -190,11 +190,11 @@ def test_criterion_7_oracle_equivalence():
         return {e: v for e, v in assembled.items() if v}
 
     for d in range(1, 9):
-        for lam, row in _product_rows(_power_coefficient, d):
+        for lam, row in _product_rows(_power_coefficient, d, enumerate_partitions(d)):
             assert combination(row, expand_elementary_product) == (
                 expand_power_product(lam, nvars)
             ), lam
-        for mu, row in _product_rows(_elementary_coefficient, d):
+        for mu, row in _product_rows(_elementary_coefficient, d, enumerate_partitions(d)):
             scale = prod(map(factorial, mu))
             assert combination(row, expand_power_product) == {
                 e: scale * v for e, v in expand_elementary_product(mu, nvars).items()

@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -16,6 +17,7 @@ from kummer_chern.assembly import (
 )
 from kummer_chern.localization import (
     CheckError,
+    GenericityError,
     build_surface_model,
     find_generic_model,
     fixed_points,
@@ -24,7 +26,7 @@ from kummer_chern.localization import (
 )
 from kummer_chern.polyring import Q, SPoly
 from kummer_chern.reference import reference_for
-from kummer_chern.symfun import ChernTable
+from kummer_chern.symfun import ChernTable, evaluate_genus, genus_log_coefficients
 
 from oracles import localized_twisted_sums, sigma1
 
@@ -146,6 +148,42 @@ def test_closed_forms_hold_beyond_the_reference_table():
     assert nine.chern.top() == 9**3 * sigma1(9) == 9477
     assert nine.advisories == ()
     assert nine.chern.numbers == NINE
+
+
+def test_kummer_genus_has_only_even_subscripts(p2_series):
+    # T and T* are isomorphic on a hyper-Kaehler manifold, so its odd Chern
+    # classes vanish, and with them every power integral with an odd part:
+    # no coefficient of the Kummer genus has an odd subscript
+    rng = random.Random(6)
+    while True:
+        weights = (rng.randint(-40, 40), rng.randint(-40, 40))
+        try:
+            p1xp1 = find_generic_model("p1xp1", 6, weights=weights)
+            break
+        except GenericityError:
+            continue
+    for surface, series in (("p2", p2_series), ("p1xp1", kummer_genus_series(p1xp1, 6))):
+        for n, coefficient in enumerate(series):
+            odd = [lam for lam in coefficient.terms if any(part % 2 for part in lam)]
+            assert odd == [], (surface, weights, n, odd)
+    assert len(p2_series) == 9
+
+
+def test_signature_of_the_kummer_tables_is_the_goettsche_soergel_closed_form():
+    # chi_y at y = 1 of the n-th generalised Kummer variety (Goettsche-Soergel):
+    # n * sum over the odd divisors o of n of (-1)^(n - o) (n/o)^3, through
+    # the inverse conversion at degrees up to 18
+    model = find_generic_model("p2", 10)
+    ell = genus_log_coefficients("signature", 18)
+    signatures = {
+        n: evaluate_genus(kummer_chern_numbers(model, n).chern, ell) for n in range(2, 11)
+    }
+    expected = {
+        n: n * sum((-1) ** (n - o) * (n // o) ** 3 for o in range(1, n + 1, 2) if n % o == 0)
+        for n in range(2, 11)
+    }
+    assert signatures == expected
+    assert expected[2] == -16 and expected[10] == -10080
 
 
 def test_smaller_n_is_served_from_the_longest_series(monkeypatch):

@@ -161,12 +161,13 @@ def test_conversion_round_trip_is_exact_identity_up_to_degree_16():
     # composed with them give the identity.  Criterion 7 checks both walks
     # against explicit polynomials in 8 variables through degree 8
     for d in range(17):
-        for mu, row in _product_rows(_elementary_coefficient, d):
+        full = enumerate_partitions(d)
+        for mu, row in _product_rows(_elementary_coefficient, d, full):
             assert all(type(c) is int for c in row.values()), mu
             scale = prod(map(factorial, mu))
             oracle = elementary_product_in_power_basis(mu)
             assert row == {nu: scale * b for nu, b in oracle.items()}, mu
-        for lam, row in _product_rows(_power_coefficient, d):
+        for lam, row in _product_rows(_power_coefficient, d, full):
             assert all(type(c) is int for c in row.values()), lam
             acc: dict = {}
             for nu, c in row.items():
@@ -360,33 +361,59 @@ def test_chern_key_formatting():
         parse_chern_key("d4")
 
 
-@pytest.fixture
-def row_switches(monkeypatch):
-    """Record the without_ones switch of each _product_rows walk."""
-    original = symfun._product_rows
-    switches = []
+def test_product_rows_keep_only_the_parts_the_support_uses():
+    # every mu is walked in the same order whatever the support, and its row
+    # is the full row restricted to the keys whose parts all occur in the
+    # support's keys; the full e-rows are the oracle's, scaled by
+    # prod_i mu_i!, and the full p-rows are the ones that compose with them
+    # to the identity (test_conversion_round_trip_is_exact_identity_up_to_degree_16)
+    rng = random.Random(5)
+    for d in range(1, 11):
+        keys = enumerate_partitions(d)
+        full_rows = {
+            _elementary_coefficient: {
+                mu: {
+                    nu: prod(map(factorial, mu)) * b
+                    for nu, b in elementary_product_in_power_basis(mu).items()
+                }
+                for mu in keys
+            },
+            _power_coefficient: dict(_product_rows(_power_coefficient, d, keys)),
+        }
+        supports = [
+            keys,
+            [mu for mu in keys if not any(part % 2 for part in mu)],
+            [(d,)],
+            [(1,) * d],
+            [],
+            rng.sample(keys, min(3, len(keys))),
+        ]
+        for coefficient, full in full_rows.items():
+            for support in supports:
+                parts = {part for key in support for part in key}
+                rows = list(_product_rows(coefficient, d, support))
+                assert [mu for mu, _ in rows] == sorted(keys, key=lambda mu: mu[::-1], reverse=True)
+                for mu, row in rows:
+                    assert all(parts.issuperset(nu) for nu in row), (d, mu, support)
+                    kept = {nu: c for nu, c in full[mu].items() if parts.issuperset(nu)}
+                    assert row == kept, (d, mu, support)
 
-    def recording_rows(coefficient, d, *, without_ones=False):
-        switches.append(without_ones)
-        return original(coefficient, d, without_ones=without_ones)
 
-    monkeypatch.setattr(symfun, "_product_rows", recording_rows)
-    return switches
-
-
-def test_rows_drop_part_one_keys_only_when_the_data_vanish_there(row_switches):
-    # a Kummer P has P_nu = 0 at every nu with a part 1, and its rows drop
+def test_rows_drop_only_the_parts_the_data_never_use():
+    # a Kummer P has P_nu = 0 at every nu with an odd part, and its rows drop
     # those nu; with one of them nonzero the conversion must give what the
     # full rows give (the oracle's e-rows): the same table, or a ValueError
     # at the same first non-integral entry in walk order
-    from kummer_chern.assembly import kummer_genus_series
+    from kummer_chern.assembly import kummer_chern_numbers, kummer_genus_series
     from kummer_chern.localization import find_generic_model
 
     d = 4
-    genus_P = power_integrals_from_genus_poly(kummer_genus_series(find_generic_model("p2", 3), 3)[3], d)
+    model = find_generic_model("p2", 3)
+    genus_P = power_integrals_from_genus_poly(kummer_genus_series(model, 3)[3], d)
     kummer = {nu: genus_P.coefficient(nu) for nu in enumerate_partitions(d)}
-    with_ones = [nu for nu in enumerate_partitions(d) if 1 in nu]
-    assert not any(kummer[nu] for nu in with_ones)
+    with_odd = [nu for nu in enumerate_partitions(d) if any(part % 2 for part in nu)]
+    assert with_odd == [(3, 1), (2, 1, 1), (1, 1, 1, 1)]
+    assert not any(kummer[nu] for nu in with_odd)
     walk_order = sorted(enumerate_partitions(d), key=lambda mu: mu[::-1], reverse=True)
 
     def full_rows(P):
@@ -397,12 +424,10 @@ def test_rows_drop_part_one_keys_only_when_the_data_vanish_there(row_switches):
 
     assert SPoly(kummer) == genus_P
     assert chern_from_power_integrals(genus_P, d).numbers == full_rows(kummer)
-    assert row_switches == [True]
     outcomes = set()
-    for nu in with_ones:
+    for nu in with_odd:
         for value in (1, 24, Q(-1, 2)):
             P = {**kummer, nu: value}
-            row_switches.clear()
             expected = full_rows(P)
             inexact = [mu for mu in walk_order if expected[mu].denominator != 1]
             if inexact:
@@ -412,28 +437,36 @@ def test_rows_drop_part_one_keys_only_when_the_data_vanish_there(row_switches):
                     chern_from_power_integrals(SPoly(P), d)
             else:
                 assert chern_from_power_integrals(SPoly(P), d).numbers == expected, (nu, value)
-            assert row_switches == [False], (nu, value)
             outcomes.add(bool(inexact))
     assert outcomes == {False, True}  # both branches are compared
+    # the inverse direction: a Chern number with an odd part set nonzero
+    # brings its parts back into the rows
+    table = kummer_chern_numbers(model, 3).chern
+    for mu in with_odd:
+        numbers = {**table.numbers, mu: 5}
+        expected = {
+            lam: sum(c * numbers.get(nu, 0) for nu, c in row.items())
+            for lam, row in _product_rows(_power_coefficient, d, enumerate_partitions(d))
+        }
+        assert power_integrals_from_chern(ChernTable(d, numbers)) == SPoly(expected), mu
 
 
-def test_evaluate_genus_keeps_the_full_rows_on_hilbert_tables(row_switches):
-    # the Hilbert tables of p2 have nonzero entries with a part 1 (c1 != 0),
-    # so they convert on the full rows, and the Todd genus of each is 1; a
-    # Kummer table has none and converts on the rows without them
+def test_evaluate_genus_keeps_the_full_rows_on_hilbert_tables():
+    # the nonzero entries of the Hilbert tables of p2 use every part (c1 != 0),
+    # so they convert on the full rows, and the Todd genus of each is 1; the
+    # nonzero entries of a Kummer table use only even parts
     from kummer_chern.assembly import hilbert_chern_numbers, kummer_chern_numbers
     from kummer_chern.localization import find_generic_model, hilbert_genus
 
     m = find_generic_model("p2", 4)
     for k in range(1, 5):
         table = hilbert_chern_numbers(m, k)
-        assert any(v for mu, v in table.numbers.items() if 1 in mu), k
-        row_switches.clear()
+        used = {part for mu, v in table.numbers.items() if v for part in mu}
+        assert used == set(range(1, 2 * k + 1)), k
         assert evaluate_genus(table, genus_log_coefficients("todd", 2 * k)) == 1, k
         P = power_integrals_from_chern(table)
         assert P == power_integrals_from_genus_poly(hilbert_genus(m, k), 2 * k), k
-        assert row_switches == [False, False], k
     kummer = kummer_chern_numbers(m, 4).chern
-    row_switches.clear()
+    used = {part for mu, v in kummer.numbers.items() if v for part in mu}
+    assert used == {2, 4, 6}
     assert evaluate_genus(kummer, genus_log_coefficients("todd", 6)) == 4
-    assert row_switches == [True]
