@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import accumulate, compress, islice
 from math import factorial, lcm, prod
-from operator import add, attrgetter, itemgetter, mul, ne, sub
+from operator import add, itemgetter, mul, ne, sub
 from typing import Mapping, NamedTuple
 
 from .partitions import Partition, enumerate_partitions, multipartitions, sym_factor
@@ -308,16 +308,17 @@ def localized_sums(
 
         N(mu + (1,) * j) = sum_g g^j S(mu, g) .
 
-    The points are sorted by q_1, so the points of one value are adjacent
-    and S(mu, g) is a difference of the column's running sums, and only
-    the partitions of size <= 2k with no part 1 are walked, depth first
-    from ().  The grouping reads each point's own q_1, so every numerator,
-    below-top ones included, is the same integer as the full walk over
-    every partition gives.  Only the columns on the current path are
-    alive: at most 2k.  A partition that leaves no room for a part is
-    summed without storing its column.  The walk takes the fixed points
-    in blocks of _BLOCK and adds up the blocks' sums, so its columns hold
-    at most 2k * _BLOCK integers at any k.
+    The sum may take any runs of adjacent points with one q_1 value, one
+    value in several runs too.  fixed_points yields the points of one
+    composition, so of one q_1, together, and S(mu, g) of a run is a
+    difference of the column's running sums.  Only the partitions of size
+    <= 2k with no part 1 are walked, depth first from ().  The runs read
+    each point's own q_1, so every numerator, below-top ones included, is
+    the same integer as a walk over every partition gives.  Only the
+    columns on the current path are alive: at most 2k.  A partition that
+    leaves no room for a part is summed without storing its column.  The
+    walk takes the fixed points in blocks of _BLOCK and adds up the blocks'
+    sums, so its columns hold at most 2k * _BLOCK integers at any k.
 
     A sum with d < 2k vanishes exactly when all its numerators are zero,
     so the below-top check reads the integers, in order of size, and raises
@@ -352,14 +353,13 @@ def localized_sums(
             else:
                 walk(child, list(map(mul, columns[part - 1], column)), rest - part)
 
-    points.sort(key=attrgetter("power_sums"))  # by q_1 first, so equal values are adjacent
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
         columns = list(zip(*(data.power_sums for data in block)))  # q_1 .. q_2k
         q1 = columns[0] if k else (0,)  # k = 0: one point, no power sums
-        last = list(map(ne, q1, (*q1[1:], None)))  # the last point of each q_1 value
+        last = list(map(ne, q1, (*q1[1:], None)))  # the last point of each q_1 run
         values = list(compress(q1, last))
-        # with e_i the column summed through the last point of value g_i,
+        # with e_i the column summed through the last point of run i, of value g_i,
         # sum_i g_i^j (e_i - e_(i-1)) = sum_i e_i (g_i^j - g_(i+1)^j), taking
         # g_(G+1)^j as 0: steps[j] holds those differences
         powers = [[1] * len(values)]

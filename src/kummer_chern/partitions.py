@@ -45,7 +45,7 @@ def _compositions(k: int, c: int) -> Iterator[tuple[int, ...]]:
 
 
 def multipartitions(k: int, c: int) -> list[tuple[Partition, ...]]:
-    """All ordered c-tuples of partitions with total size k, in a fixed order."""
+    """All ordered c-tuples of partitions with total size k, grouped by their sizes."""
     if k < 0 or c < 1:
         raise ValueError(f"need k >= 0 and c >= 1, got k={k}, c={c}")
     out = []

@@ -9,11 +9,14 @@ A truncated power series in z is the plain tuple of its SPoly
 coefficients, z^0 first; its order is its length minus one.
 
 The pipeline runs on integers: an SPoly is integer numerators over one
-denominator, from the localization kernel to the Chern table.  Q, the
-type of the rationals the library returns (genus values, log-coefficients,
-single coefficients and check messages), is the standard library's
-Fraction.  It is resolved on first use, so a run that returns only
-integers does not import fractions.
+denominator, from the localization kernel to the Chern table.  Three
+primitives do all its arithmetic: _reduced, the normal form (divided by
+the gcd of the denominator and every numerator); _combination, sums with
+integer factors over the lcm of the denominators; and combo_mul,
+products.  Q, the type of the rationals the library returns (genus
+values, log-coefficients, single coefficients and check messages), is
+the standard library's Fraction.  It is resolved on first use, so a run
+that returns only integers does not import fractions.
 """
 
 from __future__ import annotations
@@ -62,12 +65,6 @@ def combo_mul(a: Mapping, b: Mapping) -> dict[Monomial, object]:
     return {k: v for k, v in out.items() if v}
 
 
-def _over_lcm(values: Mapping) -> tuple[dict, int]:
-    # the rational values as integer numerators over the lcm of their denominators
-    den = lcm(*(c.denominator for c in values.values()))
-    return {key: c.numerator * (den // c.denominator) for key, c in values.items()}, den
-
-
 def _reduced(terms: dict[Monomial, int], den: int) -> "SPoly":
     # the SPoly of the nonzero numerators terms over den > 0, divided by
     # their common gcd; terms is owned, not copied
@@ -78,6 +75,19 @@ def _reduced(terms: dict[Monomial, int], den: int) -> "SPoly":
     out = SPoly.__new__(SPoly)
     out.terms, out.den = terms, den
     return out
+
+
+def _combination(parts) -> "SPoly":
+    # the reduced SPoly of sum factor * numerators / d over the sequence of parts
+    # (factor, numerators, d), for int factors and numerators and d > 0:
+    # the numerators go over the lcm of the d, and zero sums drop
+    den = lcm(*(d for _, _, d in parts))
+    acc: dict[Monomial, int] = {}
+    for factor, numerators, d in parts:
+        factor *= den // d
+        for m, c in numerators.items():
+            acc[m] = acc.get(m, 0) + factor * c
+    return _reduced({m: c for m, c in acc.items() if c}, den)
 
 
 class SPoly:
@@ -94,10 +104,11 @@ class SPoly:
     __slots__ = ("terms", "den")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        # int or rational coefficients: over the lcm of their reduced
-        # denominators they have no common factor with it
-        numerators, self.den = _over_lcm(terms) if terms else ({}, 1)
-        self.terms = {m: c for m, c in numerators.items() if c}
+        # int or rational coefficients, each its numerator over its own
+        # denominator; the combination of them is the reduced form
+        parts = [(1, {m: c.numerator}, c.denominator) for m, c in (terms or {}).items()]
+        out = _combination(parts)
+        self.terms, self.den = out.terms, out.den
 
     @classmethod
     def constant(cls, value) -> "SPoly":
@@ -126,22 +137,13 @@ class SPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        terms = {m: c * a for m, c in self.terms.items()}
-        for mono, c in other.terms.items():
-            acc = terms.get(mono, 0) + c * b
-            if acc:
-                terms[mono] = acc
-            else:
-                del terms[mono]
-        return _reduced(terms, den)
+        return _combination(((1, self.terms, self.den), (1, other.terms, other.den)))
 
     def __neg__(self):
         return _reduced({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _combination(((1, self.terms, self.den), (-1, other.terms, other.den)))
 
     def __mul__(self, other):
         return _reduced(combo_mul(self.terms, other.terms), self.den * other.den)
@@ -186,29 +188,21 @@ def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     Same value as sum_{m>=1} (-1)^(m+1) (H-1)^m / m truncated at the order
     of H, computed through the derivative recurrence
 
-        n L_n = n H_n - sum_{0<j<n} j L_j H_{n-j}
+        L_n = H_n - sum_{0<j<n} (j/n) L_j H_{n-j}
 
-    on integers: each L_n is built over the lcm of the denominators of the
-    terms on the right, times n, and then reduced by the gcd of that
-    denominator and all its numerators.
+    on integers: each L_n is one combination (see _combination) of the
+    numerators of H_n and of the products L_j H_{n-j}, the latter over
+    n times their denominators.
     """
     if not H[0].is_one():
         raise ValueError("log needs constant coefficient 1")
     logs = [SPoly()]
     for n in range(1, len(H)):
-        # (factor, numerators, denominator) of each term of n L_n
-        terms = [(n, H[n].terms, H[n].den)]
+        parts = [(1, H[n].terms, H[n].den)]
         for j in range(1, n):
             lj, hk = logs[j], H[n - j]
-            if lj.terms and hk.terms:
-                terms.append((-j, combo_mul(lj.terms, hk.terms), lj.den * hk.den))
-        den = lcm(*(t[2] for t in terms))
-        acc: dict[Monomial, int] = {}
-        for factor, numerators, d in terms:
-            factor *= den // d
-            for m, c in numerators.items():
-                acc[m] = acc.get(m, 0) + factor * c
-        logs.append(_reduced({m: c for m, c in acc.items() if c}, n * den))
+            parts.append((-j, combo_mul(lj.terms, hk.terms), n * lj.den * hk.den))
+        logs.append(_combination(parts))
     return tuple(logs)
 
 

@@ -290,15 +290,23 @@ def test_cold_hilbert_loads_no_rational_type():
 
 
 def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):
-    # _over_lcm puts the rationals of SPoly(mapping) over one denominator;
     # from the kernel to the Chern table the pipeline has integer
-    # numerators already and must not call it
+    # numerators: it passes no rational coefficient to SPoly(...) and
+    # makes no Q of a coefficient
     from kummer_chern import assembly, polyring, symfun
 
-    def refused(values):
-        raise AssertionError("_over_lcm called on the integer path")
+    init = polyring.SPoly.__init__
 
-    monkeypatch.setattr(polyring, "_over_lcm", refused)
+    def integer_init(self, terms=None):
+        rational = [c for c in (terms or {}).values() if type(c) is not int]
+        assert not rational, f"SPoly({terms}) on the integer path"
+        init(self, terms)
+
+    def refused(num, den):
+        raise AssertionError(f"_rational({num}, {den}) on the integer path")
+
+    monkeypatch.setattr(polyring.SPoly, "__init__", integer_init)
+    monkeypatch.setattr(polyring, "_rational", refused)
     monkeypatch.setattr(assembly, "_assembled", {})
     symfun.genus_log_form.cache_clear()
     assert run(capsys, "verify", "--n-max", "4") == (0, "6 of 6 entries match\n", "")

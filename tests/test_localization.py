@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 
@@ -360,26 +361,31 @@ def test_vanishing_check_reads_each_points_own_q1(monkeypatch):
 
 
 def test_grouped_kernel_matches_the_literal_fixed_point_sum():
-    # the kernel sums the points of one q_1 value together; the oracle adds
-    # every point's literal contribution.  k = 0 has one point and no q_1.
+    # the kernel sums each run of adjacent points with one q_1 value
+    # together; the oracle adds every point's literal contribution.  k = 0
+    # has one point and no q_1.
     groups = {}
-    for name, k_max in (("p2", 5), ("p1xp1", 4)):
-        for weights in ((37, -29), (13, -31)):
-            m = find_generic_model(name, k_max, weights=weights)
-            pieces = tangent_pieces(m, k_max)
-            for k in range(k_max + 1):
-                literal = localized_twisted_sums(m, k, 0)
-                assert all(c.is_zero() for c in literal[: 2 * k]), (name, weights, k)
-                assert hilbert_genus(m, k, pieces=pieces) == literal[2 * k], (name, weights, k)
-            groups[name, weights] = len(
-                {tangent_data(m, p, pieces=pieces).power_sums[0] for p in fixed_points(m, k_max)}
-            )
-    # several points share each value, so the grouping is not the identity
+    inputs = [(name, k_max, weights) for name, k_max in (("p2", 5), ("p1xp1", 4))
+              for weights in ((37, -29), (13, -31))]
+    inputs.append(("p2", 5, (-9, 6)))
+    for name, k_max, weights in inputs:
+        m = find_generic_model(name, k_max, weights=weights)
+        pieces = tangent_pieces(m, k_max)
+        for k in range(k_max + 1):
+            literal = localized_twisted_sums(m, k, 0)
+            assert all(c.is_zero() for c in literal[: 2 * k]), (name, weights, k)
+            assert hilbert_genus(m, k, pieces=pieces) == literal[2 * k], (name, weights, k)
+        q1 = [tangent_data(m, p, pieces=pieces).power_sums[0] for p in fixed_points(m, k_max)]
+        groups[name, weights] = (len(set(q1)), sum(1 for _ in groupby(q1)))
+    # (distinct values, runs in the enumeration order): several points
+    # share each value, so the grouping is not the identity, and where
+    # there are more runs than values, one value is summed in separate runs
     assert groups == {
-        ("p2", (37, -29)): 21,
-        ("p2", (13, -31)): 21,
-        ("p1xp1", (37, -29)): 25,
-        ("p1xp1", (13, -31)): 25,
+        ("p2", (37, -29)): (21, 21),
+        ("p2", (13, -31)): (21, 21),
+        ("p1xp1", (37, -29)): (25, 35),
+        ("p1xp1", (13, -31)): (25, 35),
+        ("p2", (-9, 6)): (20, 21),
     }
     for name in SURFACE_NAMES:
         m = find_generic_model(name, 0)

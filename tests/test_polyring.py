@@ -234,6 +234,9 @@ def test_zseries_log_of_an_integer_series_is_reduced_and_the_fraction_log(tail):
 def test_arithmetic_keeps_the_reduced_form(a, b, c):
     results = [a, b, a + b, a - b, -a, a * b, a.scale(c), a.scale(7, -6), a.off_weight_part(2)]
     assert all(map(is_reduced, results))
+    # a sum that cancels drops every zero numerator
+    for cancelled in (a - a, a + (-a)):
+        assert cancelled == SPoly() and (cancelled.terms, cancelled.den) == ({}, 1)
     for p in results:
         # the reduced form is unique: den is the lcm of the reduced
         # denominators of the coefficients, which rebuild p
