@@ -6,20 +6,26 @@ table, JSON records or CSV rows.  A compute JSON record carries the n > 8
 returns (text, exit code); only ``main`` and its ``_run`` write the text and
 map errors to codes.
 
+The command line is read from one table, COMMANDS: each subcommand's
+options with their converters and defaults.  Options read "--opt value" or
+"--opt=value", spelled out in full; -h or --help prints the options.  The
+parser is this module's own, so a cold start imports no argparse, and json
+and csv are imported only when their format is printed.
+
 Exit codes: 0 success, 1 verification mismatch or a failed internal check
 (one "check failed:" line on stderr; the Hilbert Todd and Euler checks are
-the library's), 2 invalid configuration (every invalid argument is the
-parser's usage error; an --out file that cannot be opened is one line,
-before any computation),
+the library's), 2 invalid configuration (every invalid argument is a usage
+error, the usage and one "kummer-chern <command>: error:" line on stderr;
+an --out file that cannot be opened is one line; both come before any
+computation),
 3 genericity failure (at the explicitly requested weights a tangent weight of
 a localized fixed point vanishes; see localization.is_generic).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .assembly import (
@@ -52,72 +58,37 @@ EXIT_GENERICITY = 3
 def _parse_weights(text: str) -> tuple[int, int]:
     bits = text.split(",")
     if len(bits) != 2:
-        raise argparse.ArgumentTypeError("weights must be two integers: A,B")
-    try:
-        a, b = int(bits[0]), int(bits[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return a, b
+        raise ValueError("weights must be two integers: A,B")
+    return int(bits[0]), int(bits[1])
 
 
 def _int_in(low: int, high: int | None = None):
-    """An argparse type: an int with low <= value (<= high, if given)."""
+    """A converter: an int with low <= value (<= high, if given)."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"invalid int value: {text!r}") from None
         if value < low or (high is not None and value > high):
             bound = f"at least {low}" if high is None else f"from {low} to {high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            raise ValueError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kummer-chern",
-        description="Exact Chern numbers of the generalised Kummer varieties "
-        "via torus localization on Hilbert schemes of points.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(*names: str):
+    """A converter: one of names; its metavar lists them."""
 
-    def common(p, with_format=True):
-        p.add_argument("--surface", choices=SURFACE_NAMES, default="p2")
-        p.add_argument(
-            "--weights",
-            type=_parse_weights,
-            default=None,
-            help="explicit torus parameters; --weights=A,B lets A be negative",
-        )
-        if with_format:
-            p.add_argument(
-                "--format", choices=("table", "json", "csv"), default="table"
-            )
-            p.add_argument("--out", default=None, help="write output to this file")
+    def parse(text: str) -> str:
+        if text not in names:
+            listed = ", ".join(map(repr, names))
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
 
-    p = sub.add_parser("compute", help="Chern numbers of the Kummer varieties")
-    p.add_argument("--n-max", type=_int_in(1), required=True)
-    common(p)
-    p.set_defaults(handler=cmd_compute)
-
-    p = sub.add_parser("verify", help="compare against the embedded reference table")
-    p.add_argument("--n-max", type=_int_in(1, REFERENCE_N_MAX), default=REFERENCE_N_MAX)
-    common(p, with_format=False)
-    p.set_defaults(handler=cmd_verify, out=None)
-
-    p = sub.add_parser("hilbert", help="Chern numbers of a Hilbert scheme of points")
-    p.add_argument("--k", type=_int_in(0), required=True)
-    common(p)
-    p.set_defaults(handler=cmd_hilbert)
-
-    p = sub.add_parser("genus", help="evaluate a genus preset on the Kummer tables")
-    p.add_argument("--name", choices=GENUS_PRESETS, required=True)
-    p.add_argument("--n-max", type=_int_in(1), required=True)
-    common(p)
-    p.set_defaults(handler=cmd_genus)
-
-    return parser
+    parse.metavar = "{" + ",".join(names) + "}"
+    return parse
 
 
 def _render(args, records, header, rows, lines) -> str:
@@ -137,6 +108,8 @@ def _render(args, records, header, rows, lines) -> str:
 
 
 def render_json(records: list[dict]) -> str:
+    import json  # about 2 ms of every cold start that prints no JSON
+
     return json.dumps(records, indent=2) + "\n"
 
 
@@ -235,8 +208,149 @@ def cmd_genus(args) -> tuple[str, int]:
     return _render(args, [record], ("n", "value"), values.items(), lines), EXIT_OK
 
 
+# -- the command line -------------------------------------------------------
+
+PROG = "kummer-chern"
+DESCRIPTION = (
+    "Exact Chern numbers of the generalised Kummer varieties via torus localization\n"
+    "on Hilbert schemes of points."
+)
+REQUIRED = object()  # the default of an option that must be given
+
+# (option, converter, default, help); the converter's ValueError is the usage error
+_SURFACE = ("--surface", _choice(*SURFACE_NAMES), "p2", "toric surface model")
+_WEIGHTS = (
+    "--weights",
+    _parse_weights,
+    None,
+    "explicit torus parameters; --weights=A,B lets A be negative",
+)
+_OUTPUT = (
+    ("--format", _choice("table", "json", "csv"), "table", "output format"),
+    ("--out", str, None, "write output to this file"),
+)
+
+# command -> (handler, help, options)
+COMMANDS = {
+    "compute": (cmd_compute, "Chern numbers of the Kummer varieties", (
+        ("--n-max", _int_in(1), REQUIRED, "largest member n, at least 1"),
+        _SURFACE, _WEIGHTS, *_OUTPUT,
+    )),
+    "verify": (cmd_verify, "compare against the embedded reference table", (
+        ("--n-max", _int_in(1, REFERENCE_N_MAX), REFERENCE_N_MAX,
+         f"largest member n, from 1 to {REFERENCE_N_MAX}"),
+        _SURFACE, _WEIGHTS,
+    )),
+    "hilbert": (cmd_hilbert, "Chern numbers of a Hilbert scheme of points", (
+        ("--k", _int_in(0), REQUIRED, "number of points, at least 0"),
+        _SURFACE, _WEIGHTS, *_OUTPUT,
+    )),
+    "genus": (cmd_genus, "evaluate a genus preset on the Kummer tables", (
+        ("--name", _choice(*GENUS_PRESETS), REQUIRED, "genus preset"),
+        ("--n-max", _int_in(1), REQUIRED, "largest member n, at least 1"),
+        _SURFACE, _WEIGHTS, *_OUTPUT,
+    )),
+}
+_HELP_ROW = ("-h, --help", "show this help and exit")
+
+
+def _shown(name: str, convert) -> str:
+    # "--n-max N_MAX", or the choices for a _choice: "--surface {p2,p1xp1}"
+    return f"{name} {getattr(convert, 'metavar', name[2:].upper().replace('-', '_'))}"
+
+
+def _usage(prog: str, parts: Sequence[str]) -> str:
+    """The usage line of prog, wrapped at 78 columns as argparse wraps it."""
+    lines = [f"usage: {prog}"]
+    indent = " " * len(lines[0])
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(indent)
+        lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _columns(title: str, rows: Sequence[tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([f"{title}:", *(f"  {left:<{width}}{right}" for left, right in rows)])
+
+
+def _exit_usage(prog: str, usage: str, message: str):
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_BAD_CONFIG)
+
+
+def _exit_help(*blocks: str):
+    sys.stdout.write("\n\n".join(blocks) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The handler and the options of a command line, as attributes.
+
+    A usage error writes the usage and one "error:" line to stderr and
+    exits 2; -h or --help writes the help to stdout and exits 0.
+    """
+    if argv and argv[0] in COMMANDS:
+        return _parse_command(argv[0], argv[1:])
+    usage = _usage(PROG, ["[-h]", "{" + ",".join(COMMANDS) + "} ..."])
+    if not argv:
+        _exit_usage(PROG, usage, "the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        commands = _columns("commands", [(name, text) for name, (_, text, _) in COMMANDS.items()])
+        _exit_help(usage, DESCRIPTION, commands, _columns("options", [_HELP_ROW]))
+    listed = ", ".join(map(repr, COMMANDS))
+    message = f"argument command: invalid choice: {argv[0]!r} (choose from {listed})"
+    _exit_usage(PROG, usage, message)
+
+
+def _parse_command(command: str, argv: Sequence[str]) -> SimpleNamespace:
+    """Read "--opt value" and "--opt=value"; a repeated option keeps its last value.
+
+    A value that starts with "-" needs the "=" form, unless it is a
+    negative integer.  Option names are matched whole: no abbreviation.
+    """
+    handler, text, options = COMMANDS[command]
+    prog = f"{PROG} {command}"
+    shown = {name: _shown(name, convert) for name, convert, _, _ in options}
+    usage = _usage(prog, ["[-h]", *(
+        shown[name] if default is REQUIRED else f"[{shown[name]}]"
+        for name, _, default, _ in options
+    )])
+    converters = {name: convert for name, convert, _, _ in options}
+    values = {name: default for name, _, default, _ in options}
+    unknown = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            rows = [_HELP_ROW]
+            for name, _, default, note in options:
+                given = "" if default in (None, REQUIRED) else f" (default {default})"
+                rows.append((shown[name], note + given))
+            _exit_help(usage, text, _columns("options", rows))
+        name, equals, value = token.partition("=")
+        if name not in converters:
+            unknown.append(token)
+            continue
+        if not equals:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and not value[1:].isdigit()):
+                _exit_usage(prog, usage, f"argument {name}: expected one argument")
+        try:
+            values[name] = converters[name](value)
+        except ValueError as exc:
+            _exit_usage(prog, usage, f"argument {name}: {exc}")
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        _exit_usage(prog, usage, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _exit_usage(prog, usage, f"unrecognized arguments: {' '.join(unknown)}")
+    dests = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(**{"handler": handler, "out": None, **dests})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if not args.out:
         return _run(args, sys.stdout)
     # --out is opened before any work, so a bad path costs no computation;

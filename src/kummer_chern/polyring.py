@@ -182,7 +182,7 @@ class SPoly:
         return " + ".join(bits)
 
 
-def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
+def zseries_log(H: tuple[SPoly, ...], head: tuple[SPoly, ...] = ()) -> tuple[SPoly, ...]:
     """Formal logarithm of a series with constant coefficient 1.
 
     Same value as sum_{m>=1} (-1)^(m+1) (H-1)^m / m truncated at the order
@@ -192,12 +192,14 @@ def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
 
     on integers: each L_n is one combination (see _combination) of the
     numerators of H_n and of the products L_j H_{n-j}, the latter over
-    n times their denominators.
+    n times their denominators.  L_n reads only L_j and H_j with j <= n,
+    so head, the logarithm already taken of a truncation of H, is kept and
+    only the later coefficients are computed.
     """
     if not H[0].is_one():
         raise ValueError("log needs constant coefficient 1")
-    logs = [SPoly()]
-    for n in range(1, len(H)):
+    logs = list(head) or [SPoly()]
+    for n in range(len(logs), len(H)):
         parts = [(1, H[n].terms, H[n].den)]
         for j in range(1, n):
             lj, hk = logs[j], H[n - j]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
 
 from .partitions import Partition, enumerate_partitions
@@ -11,28 +9,22 @@ from .partitions import Partition, enumerate_partitions
 REFERENCE_N_MAX = 8
 
 
-def _resource_bytes() -> bytes:
-    # a plain open() beside this file: importlib.resources would load pathlib,
-    # zipfile and tempfile on every verify
-    path = os.path.join(os.path.dirname(__file__), "data", "kummer_chern_numbers.json")
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 @lru_cache(maxsize=None)
 def load_reference_table() -> dict[tuple[int, Partition], int]:
     """Map (n, partition) -> exact Chern number, for 2 <= n <= 8.
 
     Member n has one entry per partition of 2(n-1) into even parts, the
-    doubles of the partitions of n - 1 (44 entries in all).
+    doubles of the partitions of n - 1 (44 entries in all).  The values
+    live in the reference_data module, imported here on first use.
     """
-    payload = json.loads(_resource_bytes())
+    from . import reference_data
+
     table: dict[tuple[int, Partition], int] = {}
-    for entry in payload["entries"]:
-        key = (entry["n"], tuple(entry["partition"]))
+    for n, partition, value in reference_data.ENTRIES:
+        key = (n, partition)
         if key in table:
             raise ValueError(f"duplicate reference entry {key}")
-        table[key] = int(entry["value"])
+        table[key] = value
     shape = {
         (n, tuple(2 * part for part in lam))
         for n in range(2, REFERENCE_N_MAX + 1)

@@ -35,7 +35,6 @@ on a d-fold with power-sum integrals P_lam = integral of p_lam.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -224,15 +223,36 @@ def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
 # -- genus presets ---------------------------------------------------------
 
 
-def _log_form(series: list[SPoly]) -> SPoly:
-    # sum_j l_j s_j, for log(sum_k a_k x^k) = sum_j l_j x^j with the a_k constant SPolys
+def _log_form(log: tuple[SPoly, ...], start: int) -> SPoly:
+    # sum_{j >= start} l_j s_j, for a logarithm sum_j l_j x^j with the l_j constant SPolys
     form = SPoly()
-    for j, c in enumerate(zseries_log(tuple(series))[1:], 1):
-        form = form + c * SPoly.over({(j,): 1}, 1)
+    for j in range(start, len(log)):
+        form = form + log[j] * SPoly.over({(j,): 1}, 1)
     return form
 
 
-@lru_cache(maxsize=None)
+def _preset(name: str, n: int):
+    # (series, combine): log f is combine(the log forms of the series), each
+    # series a list of constant SPolys through x^(n-1)
+    if name == "euler":
+        return [[SPoly.constant(1) if k < 2 else SPoly() for k in range(n)]], lambda f: f[0]
+    if name == "todd":
+        # log f = -log((1 - e^-x) / x)
+        series = [SPoly.over({(): (-1) ** k}, factorial(k + 1)) for k in range(n)]
+        return [series], lambda f: -f[0]
+    if name == "signature":
+        # log f = log cosh x - log(sinh x / x)
+        cosh = [SPoly.over({(): 1 - k % 2}, factorial(k)) for k in range(n)]
+        sinh_over_x = [SPoly.over({(): 1 - k % 2}, factorial(k + 1)) for k in range(n)]
+        return [cosh, sinh_over_x], lambda f: f[0] - f[1]
+    raise ValueError(f"unknown genus preset {name!r}")
+
+
+# name -> (the logarithms of its series, the form they give), for the
+# longest form built; see genus_log_form
+_longest_log_forms: dict[str, tuple[list[tuple[SPoly, ...]], SPoly]] = {}
+
+
 def genus_log_form(name: str, count: int) -> SPoly:
     """The linear form l_1 s_1 + ... + l_count s_count of a named genus preset.
 
@@ -241,19 +261,20 @@ def genus_log_form(name: str, count: int) -> SPoly:
     todd:      f(x) = x / (1 - exp(-x))
     euler:     f(x) = 1 + x
     signature: f(x) = x / tanh(x)
+
+    Each coefficient is computed once per process: a shorter form is a
+    truncation of the longest form built, and a longer one extends that
+    form and its logarithms (see zseries_log) by the missing coefficients.
     """
-    n = count + 1
-    if name == "euler":
-        return _log_form([SPoly.constant(1) if k < 2 else SPoly() for k in range(n)])
-    if name == "todd":
-        # log f = -log((1 - e^-x) / x)
-        return -_log_form([SPoly.over({(): (-1) ** k}, factorial(k + 1)) for k in range(n)])
-    if name == "signature":
-        # log f = log cosh x - log(sinh x / x)
-        cosh = [SPoly.over({(): 1 - k % 2}, factorial(k)) for k in range(n)]
-        sinh_over_x = [SPoly.over({(): 1 - k % 2}, factorial(k + 1)) for k in range(n)]
-        return _log_form(cosh) - _log_form(sinh_over_x)
-    raise ValueError(f"unknown genus preset {name!r}")
+    logs, form = _longest_log_forms.get(name, ([], SPoly()))
+    if not logs or len(logs[0]) <= count:
+        series, combine = _preset(name, count + 1)
+        start = len(logs[0]) if logs else 1  # the first coefficient not yet in form
+        heads = logs or [()] * len(series)
+        logs = [zseries_log(tuple(s), head) for s, head in zip(series, heads)]
+        form = form + combine([_log_form(log, start) for log in logs])
+        _longest_log_forms[name] = logs, form
+    return SPoly.over({m: c for m, c in form.terms.items() if m[0] <= count}, form.den)
 
 
 def genus_log_coefficients(name: str, count: int) -> tuple:

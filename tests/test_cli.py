@@ -218,10 +218,12 @@ def test_explicit_good_weights_work(capsys):
 
 
 def test_negative_first_weight_needs_the_equals_form(capsys):
-    # argparse reads a separate "-5,11" as an option, so the help asks for "="
+    # a separate "-5,11" reads as an option, so the help asks for "="
     code, out, _ = run(capsys, "verify", "--n-max", "4", "--weights=-5,11")
     assert code == 0
     assert "6 of 6 entries match" in out
+    err = usage_error(capsys, "verify", "--n-max", "4", "--weights", "-5,11")
+    assert err.endswith("kummer-chern verify: error: argument --weights: expected one argument\n")
 
 
 def test_bad_weight_syntax_is_usage_error(capsys):
@@ -240,6 +242,62 @@ def test_missing_subcommand_is_usage_error(capsys):
     usage_error(capsys)
 
 
+def test_options_take_their_value_after_a_space_or_an_equals_sign(capsys):
+    spaced = run(capsys, "hilbert", "--k", "2", "--format", "csv", "--surface", "p1xp1")
+    assert spaced[0] == 0 and spaced[1].startswith("k,partition_key,value\n")
+    assert run(capsys, "hilbert", "--k=2", "--format=csv", "--surface=p1xp1") == spaced
+    verified = run(capsys, "verify", "--n-max=4", "--weights=-9,6")
+    assert verified == (0, "6 of 6 entries match\n", "")
+
+
+def test_a_repeated_option_keeps_its_last_value(capsys):
+    assert run(capsys, "verify", "--n-max", "3", "--n-max=2") == (0, "1 of 1 entries match\n", "")
+    code, out, _ = run(capsys, "compute", "--n-max", "2", "--format", "json", "--format", "csv")
+    assert (code, out) == (0, "n,partition_key,value\n2,c2,24\n")
+
+
+USAGE_ERRORS = {
+    ("verify", "--bogus", "1"): "kummer-chern verify: error: unrecognized arguments: --bogus 1\n",
+    # options are matched whole, with no prefix abbreviation
+    ("verify", "--n", "2"): "kummer-chern verify: error: unrecognized arguments: --n 2\n",
+    ("genus", "--surface", "p2"): (
+        "kummer-chern genus: error: the following arguments are required: --name, --n-max\n"
+    ),
+    ("hilbert", "--k"): "kummer-chern hilbert: error: argument --k: expected one argument\n",
+    ("frob", "--n-max", "2"): (
+        "kummer-chern: error: argument command: invalid choice: 'frob' "
+        "(choose from 'compute', 'verify', 'hilbert', 'genus')\n"
+    ),
+    (): "kummer-chern: error: the following arguments are required: command\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS), ids=" ".join)
+def test_usage_errors_exit_2_with_one_error_line(capsys, argv):
+    err = usage_error(capsys, *argv)
+    assert err.endswith(USAGE_ERRORS[argv])
+    assert err.count("error:") == 1
+
+
+def test_help_lists_the_commands_and_each_commands_options(capsys):
+    for argv in (["--help"], ["-h"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (0, "")
+        usage = "usage: kummer-chern [-h] {compute,verify,hilbert,genus} ...\n"
+        assert captured.out.startswith(usage)
+        assert all(f"\n  {command} " in captured.out for command in cli.COMMANDS)
+    for command, (_, _, options) in cli.COMMANDS.items():
+        # help comes before any other check, an invalid value included
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help", "--n-max", "0"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (0, "")
+        assert captured.out.startswith(f"usage: kummer-chern {command} [-h] ")
+        assert all(f"\n  {name} " in captured.out for name, *_ in options)
+
+
 def test_output_is_deterministic_across_runs(capsys):
     outputs = set()
     for _ in range(2):
@@ -253,22 +311,25 @@ def test_output_is_deterministic_across_runs(capsys):
 # importlib.resources (pathlib, zipfile, tempfile) made verify --n-max 2
 # about 26 ms slower under -S; csv, needed only by --format csv, costs about
 # 1 ms; and fractions with decimal and numbers about 2.7 ms of CPU, while
-# both commands run on integers and return no rational.  shutil is not
-# listed: argparse itself loads it.
+# both commands run on integers and return no rational.
 COLD_UNLOADED = (
     "dataclasses", "inspect", "importlib.resources", "pathlib", "zipfile", "tempfile",
     "csv", "fractions", "decimal", "numbers",
 )
+# modules no cold command loads: argparse, with the gettext and locale it
+# imports and the shutil it loads to read the terminal width, costs about
+# 2.2 ms of CPU to build and run a parser for verify
+PARSER_MODULES = ("argparse", "gettext", "locale", "shutil")
 
 
-def _cold_loaded(argv: list[str]) -> str:
+def _cold_loaded(argv: list[str], watched=COLD_UNLOADED + PARSER_MODULES) -> str:
     # runs cli.main(argv) in a fresh interpreter without site; prints its
-    # output, then the exit code and the COLD_UNLOADED modules it loaded
+    # output, then the exit code and the watched modules it loaded
     src = str(Path(cli.__file__).parents[1])
     probe = (
         "import sys; from kummer_chern import cli; "
         f"code = cli.main({argv!r}); "
-        f"print(code, sorted(set({COLD_UNLOADED!r}) & set(sys.modules)))"
+        f"print(code, sorted(set({watched!r}) & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -281,12 +342,25 @@ def _cold_loaded(argv: list[str]) -> str:
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
-    assert _cold_loaded(["verify", "--n-max", "2"]) == "1 of 1 entries match\n0 []\n"
+    # a cold verify reads its table without json too (about 2.2 ms)
+    out = _cold_loaded(["verify", "--n-max", "2"], COLD_UNLOADED + PARSER_MODULES + ("json",))
+    assert out == "1 of 1 entries match\n0 []\n"
 
 
 def test_cold_hilbert_loads_no_rational_type():
-    out = _cold_loaded(["hilbert", "--k", "2", "--format", "json"])
+    # json is loaded here, by --format json; the reference table is not
+    watched = COLD_UNLOADED + PARSER_MODULES + ("kummer_chern.reference_data",)
+    out = _cold_loaded(["hilbert", "--k", "2", "--format", "json"], watched)
     assert out.endswith("\n]\n0 []\n") and json.loads(out[: -len("0 []\n")])[0]["k"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--n-max", "2", "--format", "csv"], ["genus", "--name", "todd", "--n-max", "2"]],
+    ids=" ".join,
+)
+def test_no_cold_command_loads_the_argparse_chain(argv):
+    assert _cold_loaded(argv, PARSER_MODULES).endswith("\n0 []\n")
 
 
 def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):
@@ -308,7 +382,7 @@ def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):
     monkeypatch.setattr(polyring.SPoly, "__init__", integer_init)
     monkeypatch.setattr(polyring, "_rational", refused)
     monkeypatch.setattr(assembly, "_assembled", {})
-    symfun.genus_log_form.cache_clear()
+    monkeypatch.setattr(symfun, "_longest_log_forms", {})
     assert run(capsys, "verify", "--n-max", "4") == (0, "6 of 6 entries match\n", "")
     code, out, err = run(capsys, "hilbert", "--k", "3", "--surface", "p1xp1")
     assert (code, err) == (0, "") and "  c6 | 40" in out.splitlines()

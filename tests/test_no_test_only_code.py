@@ -1,10 +1,10 @@
 """Code under src/ is code that the program runs.
 
 A fresh interpreter runs a small command of every subcommand, format and
-option, and the library sequence of perfbench/sweep.py, under the standard
-library's line tracer.  Every function and method defined in the package
-must be entered, or be on ALLOWED with its reason: a helper that only tests
-call belongs in tests/.
+option, one usage error, the help, and the library sequence of
+perfbench/sweep.py, under the standard library's line tracer.  Every
+function and method defined in the package must be entered, or be on
+ALLOWED with its reason: a helper that only tests call belongs in tests/.
 """
 
 import ast
@@ -42,6 +42,9 @@ COMMANDS = [
     ["genus", "--name", "signature", "--n-max", "2", "--format", "csv"],
 ]
 
+# a usage error and the help, which exit through SystemExit with these codes
+EXITS = [[["compute", "--n-max", "0"], 2], [["--help"], 0]]
+
 SWEEP = {"seed": 1, "n_max": 3, "surfaces": ["p2", "p1xp1"], "pairs_per_surface": 1,
          "weight_range": 40}
 
@@ -49,14 +52,21 @@ SWEEP = {"seed": 1, "n_max": 3, "surfaces": ["p2", "p1xp1"], "pairs_per_surface"
 # executed lines of the package's files as JSON: {path: [line, ...]}
 PROBE = """
 import contextlib, io, json, sys, trace
-commands, sweep_spec = json.loads(sys.argv[1])
+commands, exits, sweep_spec = json.loads(sys.argv[1])
 
 def run():
     import sweep
     from kummer_chern import cli
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in commands:
             assert cli.main(argv) == 0, argv
+        for argv, code in exits:
+            try:
+                cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == code, argv
+            else:
+                raise AssertionError(argv)
         sweep.run_sweep(sweep_spec)
 
 tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.base_prefix, sys.base_exec_prefix])
@@ -99,7 +109,7 @@ def test_every_function_in_src_runs_in_the_cli_and_the_sweep(tmp_path):
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path[:0] = {paths!r}\n" + PROBE,
-         json.dumps([commands, SWEEP])],
+         json.dumps([commands, EXITS, SWEEP])],
         capture_output=True,
         text=True,
     )

@@ -1,23 +1,20 @@
 import hashlib
-import json
 
 import pytest
 
-from kummer_chern import reference
-from kummer_chern.reference import (
-    _resource_bytes,
-    load_reference_table,
-    reference_for,
-)
+from kummer_chern import reference_data
+from kummer_chern.reference import load_reference_table, reference_for
 
 from oracles import partitions_ascending
 
-# guards the transcription against accidental edits
-REFERENCE_SHA256 = "fd28dabfa62b0698506a113fbaa8ecfa0d6c73bec2a150c4679a092af7e00367"
+# guards the transcription against accidental edits: the digest of the
+# table's canonical form, its (key, value) pairs in sorted order
+REFERENCE_SHA256 = "e5a2ef3db85afaa0659524469691721434881e9140f896c6f1d9904077f5507d"
 
 
 def test_resource_checksum():
-    assert hashlib.sha256(_resource_bytes()).hexdigest() == REFERENCE_SHA256
+    canonical = repr(sorted(load_reference_table().items())).encode()
+    assert hashlib.sha256(canonical).hexdigest() == REFERENCE_SHA256
 
 
 def test_shape_and_total():
@@ -31,18 +28,27 @@ def test_shape_and_total():
     }
 
 
-def test_a_wrong_partition_with_the_right_counts_is_rejected(monkeypatch):
-    payload = json.loads(_resource_bytes())
-    (entry,) = [e for e in payload["entries"] if (e["n"], e["partition"]) == (3, [4])]
-    entry["partition"] = [3, 1]  # a partition of 4, but not into even parts
-    corrupted = json.dumps(payload).encode()
-    monkeypatch.setattr(reference, "_resource_bytes", lambda: corrupted)
+def _load_entries(monkeypatch, entries):
+    monkeypatch.setattr(reference_data, "ENTRIES", tuple(entries))
     load_reference_table.cache_clear()
     try:
-        with pytest.raises(ValueError, match=r"shape at \[\(3, \(3, 1\)\), \(3, \(4,\)\)\]"):
-            load_reference_table()
+        return load_reference_table()
     finally:
         load_reference_table.cache_clear()
+
+
+def test_a_wrong_partition_with_the_right_counts_is_rejected(monkeypatch):
+    # (3, (3, 1)) is a partition of 4, but not into even parts
+    entries = [(3, (3, 1), v) if (n, mu) == (3, (4,)) else (n, mu, v)
+               for n, mu, v in reference_data.ENTRIES]
+    with pytest.raises(ValueError, match=r"shape at \[\(3, \(3, 1\)\), \(3, \(4,\)\)\]"):
+        _load_entries(monkeypatch, entries)
+
+
+def test_a_duplicate_entry_is_rejected(monkeypatch):
+    entries = [*reference_data.ENTRIES, (3, (4,), 108)]
+    with pytest.raises(ValueError, match=r"duplicate reference entry \(3, \(4,\)\)"):
+        _load_entries(monkeypatch, entries)
 
 
 def test_spot_values():

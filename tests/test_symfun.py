@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kummer_chern import symfun
 from kummer_chern.partitions import enumerate_partitions
-from kummer_chern.polyring import Q, SPoly
+from kummer_chern.polyring import Q, SPoly, zseries_log
 from kummer_chern.reference import reference_for
 from kummer_chern.symfun import (
     ChernTable,
@@ -31,6 +31,7 @@ from kummer_chern.symfun import (
 from oracles import (
     elementary_in_power_basis,
     elementary_product_in_power_basis,
+    fraction_zseries_log,
     parse_chern_key,
     scalar_exp,
     scalar_mul,
@@ -242,6 +243,51 @@ def test_genus_presets_exponentiate_to_their_series_through_x18():
         assert len(ell) == order
         assert all(type(c) is Fraction for c in ell), name
         assert scalar_mul(scalar_exp(ell, order), den) == num, name
+
+
+def _direct_log_forms(order: int) -> dict[tuple[str, int], SPoly]:
+    # every preset's form l_1 s_1 + ... + l_count s_count for count <= order,
+    # from one logarithm of each factor series by its defining sum
+    fact = [factorial(k) for k in range(order + 2)]
+    factors = {
+        "todd": [(-1, [Fraction((-1) ** k, fact[k + 1]) for k in range(order + 1)])],
+        "euler": [(1, [Fraction(int(k < 2)) for k in range(order + 1)])],
+        "signature": [
+            (1, [Fraction(1 - k % 2, fact[k]) for k in range(order + 1)]),
+            (-1, [Fraction(1 - k % 2, fact[k + 1]) for k in range(order + 1)]),
+        ],
+    }
+    forms = {}
+    for name, pairs in factors.items():
+        ell = [Fraction(0)] * (order + 1)
+        for sign, series in pairs:
+            log = fraction_zseries_log(tuple(SPoly.constant(c) for c in series))
+            for j in range(1, order + 1):
+                ell[j] += sign * log[j].get((), 0)
+        for count in range(order + 1):
+            forms[name, count] = SPoly({(j,): ell[j] for j in range(1, count + 1)})
+    return forms
+
+
+def test_log_forms_take_each_logarithm_once_in_any_request_order(monkeypatch):
+    expected = _direct_log_forms(18)
+    keys = list(expected)
+    shuffled = random.Random(5).sample(keys, len(keys))
+    for order, longest_first in ((keys, False), (keys[::-1], True), (shuffled, False)):
+        monkeypatch.setattr(symfun, "_longest_log_forms", {})
+        computed = []  # coefficients each zseries_log call computed
+
+        def counted_log(H, head=()):
+            computed.append(len(H) - max(len(head), 1))
+            return zseries_log(H, head)
+
+        monkeypatch.setattr(symfun, "zseries_log", counted_log)
+        for key in order:
+            assert symfun.genus_log_form(*key) == expected[key], key
+        # each of the four factor series has its 18 coefficients taken once
+        assert sum(computed) == 4 * 18
+        if longest_first:  # each name asks for 18 first: one logarithm per factor
+            assert len(computed) == 4
 
 
 def test_unknown_preset():
