@@ -56,10 +56,11 @@ EXIT_GENERICITY = 3
 
 
 def _parse_weights(text: str) -> tuple[int, int]:
-    bits = text.split(",")
-    if len(bits) != 2:
-        raise ValueError("weights must be two integers: A,B")
-    return int(bits[0]), int(bits[1])
+    try:
+        a, b = map(int, text.split(","))
+    except ValueError:
+        raise ValueError("weights must be two integers: A,B") from None
+    return a, b
 
 
 def _int_in(low: int, high: int | None = None):

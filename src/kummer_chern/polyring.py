@@ -111,10 +111,6 @@ class SPoly:
         self.terms, self.den = out.terms, out.den
 
     @classmethod
-    def constant(cls, value) -> "SPoly":
-        return cls({(): value})
-
-    @classmethod
     def over(cls, numerators: Mapping[Monomial, int], den: int) -> "SPoly":
         """The polynomial with these integer numerators over den > 0."""
         return _reduced({m: c for m, c in numerators.items() if c}, den)
@@ -182,7 +178,7 @@ class SPoly:
         return " + ".join(bits)
 
 
-def zseries_log(H: tuple[SPoly, ...], head: tuple[SPoly, ...] = ()) -> tuple[SPoly, ...]:
+def zseries_log(H: tuple[SPoly, ...]) -> tuple[SPoly, ...]:
     """Formal logarithm of a series with constant coefficient 1.
 
     Same value as sum_{m>=1} (-1)^(m+1) (H-1)^m / m truncated at the order
@@ -192,14 +188,12 @@ def zseries_log(H: tuple[SPoly, ...], head: tuple[SPoly, ...] = ()) -> tuple[SPo
 
     on integers: each L_n is one combination (see _combination) of the
     numerators of H_n and of the products L_j H_{n-j}, the latter over
-    n times their denominators.  L_n reads only L_j and H_j with j <= n,
-    so head, the logarithm already taken of a truncation of H, is kept and
-    only the later coefficients are computed.
+    n times their denominators.
     """
     if not H[0].is_one():
         raise ValueError("log needs constant coefficient 1")
-    logs = list(head) or [SPoly()]
-    for n in range(len(logs), len(H)):
+    logs = [SPoly()]
+    for n in range(1, len(H)):
         parts = [(1, H[n].terms, H[n].den)]
         for j in range(1, n):
             lj, hk = logs[j], H[n - j]

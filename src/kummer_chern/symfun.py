@@ -30,12 +30,17 @@ A genus with series f(x) = exp(sum_j l_j x^j) takes the value
 
     sum_{lam |- d} (prod_i l_{lam_i}) / (prod_j mult_j(lam)!) * P_lam
 
-on a d-fold with power-sum integrals P_lam = integral of p_lam.
+on a d-fold with power-sum integrals P_lam = integral of p_lam.  The
+presets take their l_j from one logarithm: with sigma_j the x^j
+coefficient of log(sinh x / x), Todd has l_1 = 1/2 and l_j = -sigma_j / 2^j
+after it, signature has l_j = (2^j - 2) sigma_j, and Euler has the closed
+form l_j = (-1)^(j+1) / j.
 """
 
 from __future__ import annotations
 
-from math import factorial, prod
+from functools import lru_cache
+from math import factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import polyring
@@ -223,36 +228,7 @@ def evaluate_genus(table: ChernTable, ell: Sequence[object]) -> object:
 # -- genus presets ---------------------------------------------------------
 
 
-def _log_form(log: tuple[SPoly, ...], start: int) -> SPoly:
-    # sum_{j >= start} l_j s_j, for a logarithm sum_j l_j x^j with the l_j constant SPolys
-    form = SPoly()
-    for j in range(start, len(log)):
-        form = form + log[j] * SPoly.over({(j,): 1}, 1)
-    return form
-
-
-def _preset(name: str, n: int):
-    # (series, combine): log f is combine(the log forms of the series), each
-    # series a list of constant SPolys through x^(n-1)
-    if name == "euler":
-        return [[SPoly.constant(1) if k < 2 else SPoly() for k in range(n)]], lambda f: f[0]
-    if name == "todd":
-        # log f = -log((1 - e^-x) / x)
-        series = [SPoly.over({(): (-1) ** k}, factorial(k + 1)) for k in range(n)]
-        return [series], lambda f: -f[0]
-    if name == "signature":
-        # log f = log cosh x - log(sinh x / x)
-        cosh = [SPoly.over({(): 1 - k % 2}, factorial(k)) for k in range(n)]
-        sinh_over_x = [SPoly.over({(): 1 - k % 2}, factorial(k + 1)) for k in range(n)]
-        return [cosh, sinh_over_x], lambda f: f[0] - f[1]
-    raise ValueError(f"unknown genus preset {name!r}")
-
-
-# name -> (the logarithms of its series, the form they give), for the
-# longest form built; see genus_log_form
-_longest_log_forms: dict[str, tuple[list[tuple[SPoly, ...]], SPoly]] = {}
-
-
+@lru_cache(maxsize=None)
 def genus_log_form(name: str, count: int) -> SPoly:
     """The linear form l_1 s_1 + ... + l_count s_count of a named genus preset.
 
@@ -262,19 +238,28 @@ def genus_log_form(name: str, count: int) -> SPoly:
     euler:     f(x) = 1 + x
     signature: f(x) = x / tanh(x)
 
-    Each coefficient is computed once per process: a shorter form is a
-    truncation of the longest form built, and a longer one extends that
-    form and its logarithms (see zseries_log) by the missing coefficients.
+    Todd and signature are rescalings of one logarithm, with
+    sigma_j the x^j coefficient of log(sinh x / x) (zero for odd j):
+    x / (1 - e^-x) = e^(x/2) (x/2) / sinh(x/2) gives l_1 = 1/2 and
+    l_j = -sigma_j / 2^j for j >= 2, and cosh x = sinh 2x / (2 sinh x) gives
+    l_j = (2^j - 2) sigma_j.  Euler's are l_j = (-1)^(j+1) / j.  The form is
+    one reduced integer SPoly, built once per (name, count).
     """
-    logs, form = _longest_log_forms.get(name, ([], SPoly()))
-    if not logs or len(logs[0]) <= count:
-        series, combine = _preset(name, count + 1)
-        start = len(logs[0]) if logs else 1  # the first coefficient not yet in form
-        heads = logs or [()] * len(series)
-        logs = [zseries_log(tuple(s), head) for s, head in zip(series, heads)]
-        form = form + combine([_log_form(log, start) for log in logs])
-        _longest_log_forms[name] = logs, form
-    return SPoly.over({m: c for m, c in form.terms.items() if m[0] <= count}, form.den)
+    if name == "euler":
+        return _form([((-1) ** (j + 1), j) for j in range(1, count + 1)])
+    if name not in GENUS_PRESETS:
+        raise ValueError(f"unknown genus preset {name!r}")
+    sinh_over_x = tuple(SPoly.over({(): 1 - k % 2}, factorial(k + 1)) for k in range(count + 1))
+    sigma = [(s.terms.get((), 0), s.den) for s in zseries_log(sinh_over_x)[1:]]
+    if name == "todd":
+        return _form([(1, 2)][:count] + [(-a, b << j) for j, (a, b) in enumerate(sigma[1:], 2)])
+    return _form([((2**j - 2) * a, b) for j, (a, b) in enumerate(sigma, 1)])
+
+
+def _form(coefficients: list[tuple[int, int]]) -> SPoly:
+    # sum_j l_j s_j for l_j = num / den, the coefficients (num, den) from j = 1
+    den = lcm(*(d for _, d in coefficients))
+    return SPoly.over({(j,): n * (den // d) for j, (n, d) in enumerate(coefficients, 1)}, den)
 
 
 def genus_log_coefficients(name: str, count: int) -> tuple:

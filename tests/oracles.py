@@ -270,7 +270,7 @@ def fixed_point_contribution(
     for j, q in enumerate(data.power_sums, 1):
         coeff = spoly_variable(j)
         if j == 1 and t:
-            coeff = coeff + SPoly.constant(t)
+            coeff = coeff + SPoly({(): t})
         E.append(coeff.scale(q))
     inverse = Q(1, data.euler_product)
     return tuple(c.scale(inverse) for c in zseries_exp(tuple(E)))
@@ -291,7 +291,7 @@ def localized_twisted_sums(model: SurfaceModel, k: int, t: int) -> tuple[SPoly, 
 
 
 def spoly_one() -> SPoly:
-    return SPoly.constant(1)
+    return SPoly({(): 1})
 
 
 def spoly_variable(j: int) -> SPoly:

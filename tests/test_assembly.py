@@ -227,7 +227,7 @@ def test_homogeneity_check_fires_on_one_corrupted_twist(p2, monkeypatch):
     original = assembly.zseries_log
     # weight 0 below the z^2 weight 4, and s1^8 above every weight that
     # H(0) reaches at n_max = 3 (6): the check must see both
-    for corruption in (SPoly.constant(1), SPoly({(1,) * 8: 1})):
+    for corruption in (SPoly({(): 1}), SPoly({(1,) * 8: 1})):
 
         def corrupting_log(series, corruption=corruption):
             out = original(series)

@@ -269,6 +269,13 @@ USAGE_ERRORS = {
         "(choose from 'compute', 'verify', 'hilbert', 'genus')\n"
     ),
     (): "kummer-chern: error: the following arguments are required: command\n",
+    # a malformed weight is named by the option, never by int()
+    ("compute", "--n-max", "2", "--weights", "1,x"): (
+        "kummer-chern compute: error: argument --weights: weights must be two integers: A,B\n"
+    ),
+    ("compute", "--n-max", "2", "--weights=1,"): (
+        "kummer-chern compute: error: argument --weights: weights must be two integers: A,B\n"
+    ),
 }
 
 
@@ -382,7 +389,7 @@ def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):
     monkeypatch.setattr(polyring.SPoly, "__init__", integer_init)
     monkeypatch.setattr(polyring, "_rational", refused)
     monkeypatch.setattr(assembly, "_assembled", {})
-    monkeypatch.setattr(symfun, "_longest_log_forms", {})
+    symfun.genus_log_form.cache_clear()
     assert run(capsys, "verify", "--n-max", "4") == (0, "6 of 6 entries match\n", "")
     code, out, err = run(capsys, "hilbert", "--k", "3", "--surface", "p1xp1")
     assert (code, err) == (0, "") and "  c6 | 40" in out.splitlines()
@@ -503,7 +510,7 @@ def test_failed_check_exits_1_with_one_line(capsys, monkeypatch):
 
     def corrupting_log(series):
         coeffs = list(original(series))
-        coeffs[2] = coeffs[2] + SPoly.constant(1)  # off weight 4
+        coeffs[2] = coeffs[2] + SPoly({(): 1})  # off weight 4
         return tuple(coeffs)
 
     monkeypatch.setattr(assembly, "zseries_log", corrupting_log)

@@ -18,7 +18,14 @@ ROOT = Path(__file__).resolve().parents[1]
 # qualified name -> why it may stay unentered by the runs below
 ALLOWED = {
     **dict.fromkeys(
-        ("polyring.SPoly.__eq__", "polyring.SPoly.__repr__"),
+        (
+            "polyring.SPoly.__add__",
+            "polyring.SPoly.__neg__",
+            "polyring.SPoly.__sub__",
+            "polyring.SPoly.__mul__",
+            "polyring.SPoly.__eq__",
+            "polyring.SPoly.__repr__",
+        ),
         "value-type API of the public series type, used by the tests and the "
         "literal localization oracle in tests/oracles.py",
     ),
