@@ -18,8 +18,8 @@ the library's), 2 invalid configuration (every invalid argument is a usage
 error, the usage and one "kummer-chern <command>: error:" line on stderr;
 an --out file that cannot be opened is one line; both come before any
 computation),
-3 genericity failure (at the explicitly requested weights a tangent weight of
-a localized fixed point vanishes; see localization.is_generic).
+3 genericity failure, from verify and hilbert only (at their --weights a tangent
+weight of a localized fixed point vanishes; see localization.is_generic).
 """
 
 from __future__ import annotations
@@ -119,31 +119,31 @@ def _chern_strings(table) -> dict[str, str]:
     return {format_chern_key(mu): str(table[mu]) for mu in table.sorted_keys()}
 
 
-def _kummer_results(args) -> list[KummerResult]:
-    model = find_generic_model(args.surface, args.n_max, weights=args.weights)
+def _kummer_results(n_max: int, surface: str, weights) -> list[KummerResult]:
+    model = find_generic_model(surface, n_max, weights=weights)
     # Assemble through n_max first: every smaller n is then sliced from this
     # series without localizing again.  Asking for n = 2, 3, ... first would
     # localize and take the logarithm again for each longer series.
-    kummer_genus_series(model, args.n_max)
-    ns = [1] if args.n_max == 1 else range(2, args.n_max + 1)
+    kummer_genus_series(model, n_max)
+    ns = [1] if n_max == 1 else range(2, n_max + 1)
     return [kummer_chern_numbers(model, n) for n in ns]
 
 
 def cmd_compute(args) -> tuple[str, int]:
     records, rows, lines = [], [], []
-    for r in _kummer_results(args):
+    for r in _kummer_results(args.n_max, "p2", None):
         numbers = _chern_strings(r.chern)
         record = {
             "n": r.n,
             "dimension": r.dimension,
-            "surface": args.surface,
+            "surface": "p2",
             "chern_numbers": numbers,
         }
         if r.advisories:
             record["advisories"] = list(r.advisories)
         records.append(record)
         rows.extend((r.n, key, value) for key, value in numbers.items())
-        lines.append(f"n={r.n}  dimension={r.dimension}  surface={args.surface}")
+        lines.append(f"n={r.n}  dimension={r.dimension}  surface=p2")
         lines.extend(f"  {key} | {value}" for key, value in numbers.items())
         lines.extend(f"  advisory: {note}" for note in r.advisories)
     return _render(args, records, ("n", "partition_key", "value"), rows, lines), EXIT_OK
@@ -153,7 +153,7 @@ def cmd_verify(args) -> tuple[str, int]:
     """The mismatch lines and the count line; exit 1 if anything mismatched."""
     matched = total = 0
     lines: list[str] = []
-    for result in _kummer_results(args):
+    for result in _kummer_results(args.n_max, args.surface, args.weights):
         if result.n == 1:  # the point; the reference starts at n = 2
             continue
         n, computed = result.n, result.chern
@@ -198,12 +198,12 @@ def cmd_hilbert(args) -> tuple[str, int]:
 
 
 def cmd_genus(args) -> tuple[str, int]:
-    results = _kummer_results(args)
+    results = _kummer_results(args.n_max, "p2", None)
     ell = genus_log_coefficients(args.name, 2 * (args.n_max - 1))
     values = {str(r.n): str(evaluate_genus(r.chern, ell)) for r in results}
-    record = {"genus": args.name, "surface": args.surface, "values": values}
+    record = {"genus": args.name, "surface": "p2", "values": values}
     lines = [
-        f"{args.name} genus on the Kummer tables, surface {args.surface}",
+        f"{args.name} genus on the Kummer tables, surface p2",
         *(f"  {n} | {value}" for n, value in values.items()),
     ]
     return _render(args, [record], ("n", "value"), values.items(), lines), EXIT_OK
@@ -219,25 +219,25 @@ DESCRIPTION = (
 REQUIRED = object()  # the default of an option that must be given
 
 # (option, converter, default, help); the converter's ValueError is the usage error
-_SURFACE = ("--surface", _choice(*SURFACE_NAMES), "p2", "toric surface model")
+_SURFACE = ("--surface", _choice(*SURFACE_NAMES), "p2", "toric surface to localize on")
 _WEIGHTS = (
     "--weights",
     _parse_weights,
     None,
-    "explicit torus parameters; --weights=A,B lets A be negative",
+    "torus parameters instead of the generic default; --weights=A,B lets A be negative",
 )
 _OUTPUT = (
     ("--format", _choice("table", "json", "csv"), "table", "output format"),
     ("--out", str, None, "write output to this file"),
 )
 
-# command -> (handler, help, options)
+# command -> (handler, help, options); compute and genus run on p2 at default weights
 COMMANDS = {
     "compute": (cmd_compute, "Chern numbers of the Kummer varieties", (
         ("--n-max", _int_in(1), REQUIRED, "largest member n, at least 1"),
-        _SURFACE, _WEIGHTS, *_OUTPUT,
+        *_OUTPUT,
     )),
-    "verify": (cmd_verify, "compare against the embedded reference table", (
+    "verify": (cmd_verify, "cross-check the Kummer numbers against the reference table", (
         ("--n-max", _int_in(1, REFERENCE_N_MAX), REFERENCE_N_MAX,
          f"largest member n, from 1 to {REFERENCE_N_MAX}"),
         _SURFACE, _WEIGHTS,
@@ -249,7 +249,7 @@ COMMANDS = {
     "genus": (cmd_genus, "evaluate a genus preset on the Kummer tables", (
         ("--name", _choice(*GENUS_PRESETS), REQUIRED, "genus preset"),
         ("--n-max", _int_in(1), REQUIRED, "largest member n, at least 1"),
-        _SURFACE, _WEIGHTS, *_OUTPUT,
+        *_OUTPUT,
     )),
 }
 _HELP_ROW = ("-h, --help", "show this help and exit")
@@ -352,7 +352,7 @@ def _parse_command(command: str, argv: Sequence[str]) -> SimpleNamespace:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    if not args.out:
+    if args.out is None:
         return _run(args, sys.stdout)
     # --out is opened before any work, so a bad path costs no computation;
     # a run that then fails leaves the file empty, as a shell redirection does

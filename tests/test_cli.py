@@ -68,6 +68,18 @@ def test_compute_out_to_unwritable_path_is_config_error(tmp_path, capsys):
     assert not target.exists() and not target.parent.exists()
 
 
+@pytest.mark.parametrize("out", [["--out", ""], ["--out="]], ids=" ".join)
+def test_empty_out_path_is_config_error(capsys, monkeypatch, out):
+    # an empty path is a path that cannot be opened, not a request for stdout
+    def no_model(*args, **kwargs):
+        raise AssertionError("computed before --out was opened")
+
+    monkeypatch.setattr(cli, "find_generic_model", no_model)
+    code, stdout, err = run(capsys, "compute", "--n-max", "2", *out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("cannot write --out : ") and len(err.splitlines()) == 1
+
+
 def test_unwritable_out_is_refused_before_any_computation(tmp_path, capsys, monkeypatch):
     def no_model(*args, **kwargs):
         raise AssertionError("computed before --out was opened")
@@ -88,7 +100,7 @@ def test_out_file_of_a_failed_run_is_left_empty(tmp_path, capsys):
     # opened before the work, as a shell redirection is: a run that fails
     # after it leaves an empty file
     target = tmp_path / "table.txt"
-    code, out, err = run(capsys, "compute", "--n-max", "3", "--weights=1,2", "--out", str(target))
+    code, out, err = run(capsys, "hilbert", "--k", "3", "--weights=1,2", "--out", str(target))
     assert code == 3 and out == "" and err.startswith("genericity failure:")
     assert target.read_text() == ""
 
@@ -196,7 +208,7 @@ def test_genus_unknown_preset_is_usage_error(capsys):
 # a zero cell weight, then zero chart weights: the chart weights are the
 # one-box partition's tangent weights, so every case fails the one rule
 DEGENERATE = {
-    ("compute", "--n-max", "3", "--weights", "1,2"): "(1, 2) are degenerate for p2 at depth 3",
+    ("verify", "--n-max", "3", "--weights", "1,2"): "(1, 2) are degenerate for p2 at depth 3",
     ("verify", "--n-max", "2", "--weights", "1,1"): "(1, 1) are degenerate for p2 at depth 2",
     ("hilbert", "--k", "1", "--surface", "p1xp1", "--weights", "1,0"): (
         "(1, 0) are degenerate for p1xp1 at depth 1"
@@ -212,9 +224,9 @@ def test_explicit_degenerate_weights_exit_3(capsys, argv):
 
 
 def test_explicit_good_weights_work(capsys):
-    code, out, _ = run(capsys, "compute", "--n-max", "2", "--weights", "1,7")
-    assert code == 0
-    assert "c2 | 24" in out
+    assert run(capsys, "verify", "--n-max", "2", "--weights", "1,7") == (
+        0, "1 of 1 entries match\n", ""
+    )
 
 
 def test_negative_first_weight_needs_the_equals_form(capsys):
@@ -227,15 +239,15 @@ def test_negative_first_weight_needs_the_equals_form(capsys):
 
 
 def test_bad_weight_syntax_is_usage_error(capsys):
-    usage_error(capsys, "compute", "--n-max", "2", "--weights", "1;2")
+    usage_error(capsys, "verify", "--n-max", "2", "--weights", "1;2")
     err = usage_error(capsys, "compute", "--n-max", "two")
     assert err.endswith("argument --n-max: invalid int value: 'two'\n")
 
 
 def test_p1xp1_surface(capsys):
-    code, out, _ = run(capsys, "compute", "--n-max", "2", "--surface", "p1xp1")
-    assert code == 0
-    assert "c2 | 24" in out
+    assert run(capsys, "verify", "--n-max", "2", "--surface", "p1xp1") == (
+        0, "1 of 1 entries match\n", ""
+    )
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -260,8 +272,22 @@ USAGE_ERRORS = {
     ("verify", "--bogus", "1"): "kummer-chern verify: error: unrecognized arguments: --bogus 1\n",
     # options are matched whole, with no prefix abbreviation
     ("verify", "--n", "2"): "kummer-chern verify: error: unrecognized arguments: --n 2\n",
+    # missing required options are reported before unknown ones
     ("genus", "--surface", "p2"): (
         "kummer-chern genus: error: the following arguments are required: --name, --n-max\n"
+    ),
+    # compute and genus run on p2 at the default weights: verify is the cross-check
+    ("compute", "--n-max", "2", "--surface", "p1xp1"): (
+        "kummer-chern compute: error: unrecognized arguments: --surface p1xp1\n"
+    ),
+    ("compute", "--n-max", "2", "--weights=-9,6"): (
+        "kummer-chern compute: error: unrecognized arguments: --weights=-9,6\n"
+    ),
+    ("genus", "--name", "todd", "--n-max", "2", "--weights", "1,7"): (
+        "kummer-chern genus: error: unrecognized arguments: --weights 1,7\n"
+    ),
+    ("genus", "--name", "todd", "--n-max", "2", "--surface=p2"): (
+        "kummer-chern genus: error: unrecognized arguments: --surface=p2\n"
     ),
     ("hilbert", "--k"): "kummer-chern hilbert: error: argument --k: expected one argument\n",
     ("frob", "--n-max", "2"): (
@@ -270,11 +296,11 @@ USAGE_ERRORS = {
     ),
     (): "kummer-chern: error: the following arguments are required: command\n",
     # a malformed weight is named by the option, never by int()
-    ("compute", "--n-max", "2", "--weights", "1,x"): (
-        "kummer-chern compute: error: argument --weights: weights must be two integers: A,B\n"
+    ("verify", "--n-max", "2", "--weights", "1,x"): (
+        "kummer-chern verify: error: argument --weights: weights must be two integers: A,B\n"
     ),
-    ("compute", "--n-max", "2", "--weights=1,"): (
-        "kummer-chern compute: error: argument --weights: weights must be two integers: A,B\n"
+    ("hilbert", "--k", "2", "--weights=1,"): (
+        "kummer-chern hilbert: error: argument --weights: weights must be two integers: A,B\n"
     ),
 }
 
@@ -515,7 +541,7 @@ def test_failed_check_exits_1_with_one_line(capsys, monkeypatch):
 
     monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
     # weights no other test assembles, so no stored series answers first
-    code, out, err = run(capsys, "compute", "--n-max", "3", "--weights", "1,47")
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--weights", "1,47")
     assert code == 1 and out == ""
     assert err.startswith("check failed: z^2 coefficient of ln H(0) has off-weight")
     assert len(err.splitlines()) == 1

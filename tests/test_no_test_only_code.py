@@ -38,8 +38,8 @@ COMMANDS = [
     ["compute", "--n-max", "3"],
     ["compute", "--n-max", "2", "--format", "json"],
     ["compute", "--n-max", "2", "--format", "csv", "--out", "{out}"],
-    ["compute", "--n-max", "2", "--surface", "p1xp1", "--weights=3,-7"],
     ["verify", "--n-max", "1"],
+    ["verify", "--n-max", "2", "--surface", "p1xp1", "--weights=3,-7"],
     ["verify", "--n-max", "2", "--weights", "1,5"],
     ["hilbert", "--k", "2", "--format", "json"],
     ["hilbert", "--k", "1", "--format", "csv"],
