@@ -3,23 +3,22 @@
 compute, hilbert and genus format their numbers once and render them as a
 table, JSON records or CSV rows.  A compute JSON record carries the n > 8
 "advisories" that its table prints, when there are any.  Each handler
-returns (text, exit code); only ``main`` and its ``_run`` write the text and
-map errors to codes.
+returns (text, exit code); only ``main`` writes the text, to stdout, and
+maps errors to codes.
 
 The command line is read from one table, COMMANDS: each subcommand's
 options with their converters and defaults.  Options read "--opt value" or
 "--opt=value", spelled out in full; -h or --help prints the options.  The
 parser is this module's own, so a cold start imports no argparse, and json
-and csv are imported only when their format is printed.
+is imported only to print JSON.
 
 Exit codes: 0 success, 1 verification mismatch or a failed internal check
 (one "check failed:" line on stderr; the Hilbert Todd and Euler checks are
 the library's), 2 invalid configuration (every invalid argument is a usage
-error, the usage and one "kummer-chern <command>: error:" line on stderr;
-an --out file that cannot be opened is one line; both come before any
-computation),
-3 genericity failure, from verify and hilbert only (at their --weights a tangent
-weight of a localized fixed point vanishes; see localization.is_generic).
+error, the usage and one "kummer-chern <command>: error:" line on stderr,
+before any computation), 3 genericity failure, from verify and hilbert only
+(at their --weights a tangent weight of a localized fixed point vanishes;
+see localization.is_generic).
 """
 
 from __future__ import annotations
@@ -93,25 +92,18 @@ def _choice(*names: str):
 
 
 def _render(args, records, header, rows, lines) -> str:
-    """The text of ``args.format``: JSON records, CSV rows or table lines."""
+    """The text of ``args.format``: JSON records, CSV rows or table lines.
+
+    No CSV field needs quoting: each is an int, a monomial such as
+    "c2^2 c4" or a number such as "-16".
+    """
     if args.format == "json":
-        return render_json(records)
+        import json  # about 2 ms of every cold start that prints no JSON
+
+        return json.dumps(records, indent=2) + "\n"
     if args.format == "csv":
-        import csv  # about 1 ms of every cold start that prints no CSV
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
+        return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
     return "\n".join(lines) + "\n"
-
-
-def render_json(records: list[dict]) -> str:
-    import json  # about 2 ms of every cold start that prints no JSON
-
-    return json.dumps(records, indent=2) + "\n"
 
 
 def _chern_strings(table) -> dict[str, str]:
@@ -226,16 +218,13 @@ _WEIGHTS = (
     None,
     "torus parameters instead of the generic default; --weights=A,B lets A be negative",
 )
-_OUTPUT = (
-    ("--format", _choice("table", "json", "csv"), "table", "output format"),
-    ("--out", str, None, "write output to this file"),
-)
+_FORMAT = ("--format", _choice("table", "json", "csv"), "table", "output format")
 
 # command -> (handler, help, options); compute and genus run on p2 at default weights
 COMMANDS = {
     "compute": (cmd_compute, "Chern numbers of the Kummer varieties", (
         ("--n-max", _int_in(1), REQUIRED, "largest member n, at least 1"),
-        *_OUTPUT,
+        _FORMAT,
     )),
     "verify": (cmd_verify, "cross-check the Kummer numbers against the reference table", (
         ("--n-max", _int_in(1, REFERENCE_N_MAX), REFERENCE_N_MAX,
@@ -244,12 +233,12 @@ COMMANDS = {
     )),
     "hilbert": (cmd_hilbert, "Chern numbers of a Hilbert scheme of points", (
         ("--k", _int_in(0), REQUIRED, "number of points, at least 0"),
-        _SURFACE, _WEIGHTS, *_OUTPUT,
+        _SURFACE, _WEIGHTS, _FORMAT,
     )),
     "genus": (cmd_genus, "evaluate a genus preset on the Kummer tables", (
         ("--name", _choice(*GENUS_PRESETS), REQUIRED, "genus preset"),
         ("--n-max", _int_in(1), REQUIRED, "largest member n, at least 1"),
-        *_OUTPUT,
+        _FORMAT,
     )),
 }
 _HELP_ROW = ("-h, --help", "show this help and exit")
@@ -347,25 +336,12 @@ def _parse_command(command: str, argv: Sequence[str]) -> SimpleNamespace:
     if unknown:
         _exit_usage(prog, usage, f"unrecognized arguments: {' '.join(unknown)}")
     dests = {name[2:].replace("-", "_"): value for name, value in values.items()}
-    return SimpleNamespace(**{"handler": handler, "out": None, **dests})
+    return SimpleNamespace(handler=handler, **dests)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run a command line: write the handler's text to stdout, map errors to exit codes."""
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    if args.out is None:
-        return _run(args, sys.stdout)
-    # --out is opened before any work, so a bad path costs no computation;
-    # a run that then fails leaves the file empty, as a shell redirection does
-    try:
-        with open(args.out, "w", encoding="utf-8") as out:
-            return _run(args, out)
-    except OSError as exc:
-        print(f"cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-
-def _run(args, out) -> int:
-    """Run the handler and write its text to out; map errors to exit codes."""
     try:
         text, code = args.handler(args)
     except GenericityError as exc:
@@ -374,7 +350,7 @@ def _run(args, out) -> int:
     except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    out.write(text)
+    sys.stdout.write(text)
     return code
 
 

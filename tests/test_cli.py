@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -40,69 +41,13 @@ def test_compute_json_and_round_trip(capsys):
         "surface": "p2",
         "chern_numbers": {"c2^2": "756", "c4": "108"},
     }
-    assert cli.render_json(records) == out  # re-rendering is byte-identical
+    assert json.dumps(records, indent=2) + "\n" == out  # re-rendering is byte-identical
 
 
 def test_compute_n1_is_the_point(capsys):
     code, out, _ = run(capsys, "compute", "--n-max", "1")
     assert code == 0
     assert "1 | 1" in out
-
-
-def test_compute_out_file(tmp_path, capsys):
-    target = tmp_path / "table.json"
-    code, out, _ = run(
-        capsys, "compute", "--n-max", "2", "--format", "json", "--out", str(target)
-    )
-    assert code == 0 and out == ""
-    records = json.loads(target.read_text())
-    assert records[0]["chern_numbers"] == {"c2": "24"}
-
-
-def test_compute_out_to_unwritable_path_is_config_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "table.json"
-    code, out, err = run(capsys, "compute", "--n-max", "2", "--out", str(target))
-    assert code == 2 and out == ""
-    assert err.startswith(f"cannot write --out {target}: ")
-    assert len(err.splitlines()) == 1
-    assert not target.exists() and not target.parent.exists()
-
-
-@pytest.mark.parametrize("out", [["--out", ""], ["--out="]], ids=" ".join)
-def test_empty_out_path_is_config_error(capsys, monkeypatch, out):
-    # an empty path is a path that cannot be opened, not a request for stdout
-    def no_model(*args, **kwargs):
-        raise AssertionError("computed before --out was opened")
-
-    monkeypatch.setattr(cli, "find_generic_model", no_model)
-    code, stdout, err = run(capsys, "compute", "--n-max", "2", *out)
-    assert (code, stdout) == (2, "")
-    assert err.startswith("cannot write --out : ") and len(err.splitlines()) == 1
-
-
-def test_unwritable_out_is_refused_before_any_computation(tmp_path, capsys, monkeypatch):
-    def no_model(*args, **kwargs):
-        raise AssertionError("computed before --out was opened")
-
-    monkeypatch.setattr(cli, "find_generic_model", no_model)
-    for argv in (
-        ("compute", "--n-max", "9"),
-        ("hilbert", "--k", "3"),
-        ("genus", "--name", "todd", "--n-max", "3"),
-    ):
-        target = tmp_path / "missing" / "out.txt"
-        code, out, err = run(capsys, *argv, "--out", str(target))
-        assert (code, out) == (2, ""), argv
-        assert err.startswith(f"cannot write --out {target}: ") and len(err.splitlines()) == 1
-
-
-def test_out_file_of_a_failed_run_is_left_empty(tmp_path, capsys):
-    # opened before the work, as a shell redirection is: a run that fails
-    # after it leaves an empty file
-    target = tmp_path / "table.txt"
-    code, out, err = run(capsys, "hilbert", "--k", "3", "--weights=1,2", "--out", str(target))
-    assert code == 3 and out == "" and err.startswith("genericity failure:")
-    assert target.read_text() == ""
 
 
 def usage_error(capsys, *argv):
@@ -289,6 +234,25 @@ USAGE_ERRORS = {
     ("genus", "--name", "todd", "--n-max", "2", "--surface=p2"): (
         "kummer-chern genus: error: unrecognized arguments: --surface=p2\n"
     ),
+    # output goes to stdout alone: a file is the shell's "> FILE"
+    ("compute", "--n-max", "2", "--out", "x.json"): (
+        "kummer-chern compute: error: unrecognized arguments: --out x.json\n"
+    ),
+    ("compute", "--n-max", "2", "--out=x.json"): (
+        "kummer-chern compute: error: unrecognized arguments: --out=x.json\n"
+    ),
+    ("hilbert", "--k", "2", "--out", "x.csv"): (
+        "kummer-chern hilbert: error: unrecognized arguments: --out x.csv\n"
+    ),
+    ("hilbert", "--k", "2", "--out=x.csv"): (
+        "kummer-chern hilbert: error: unrecognized arguments: --out=x.csv\n"
+    ),
+    ("genus", "--name", "todd", "--n-max", "2", "--out", "x.txt"): (
+        "kummer-chern genus: error: unrecognized arguments: --out x.txt\n"
+    ),
+    ("genus", "--name", "todd", "--n-max", "2", "--out=x.txt"): (
+        "kummer-chern genus: error: unrecognized arguments: --out=x.txt\n"
+    ),
     ("hilbert", "--k"): "kummer-chern hilbert: error: argument --k: expected one argument\n",
     ("frob", "--n-max", "2"): (
         "kummer-chern: error: argument command: invalid choice: 'frob' "
@@ -312,6 +276,14 @@ def test_usage_errors_exit_2_with_one_error_line(capsys, argv):
     assert err.count("error:") == 1
 
 
+def test_an_out_option_writes_no_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "table.json"
+    for argv in (["--out", str(target)], [f"--out={target}"], ["--out", "table.json"]):
+        usage_error(capsys, "compute", "--n-max", "2", "--format", "json", *argv)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_lists_the_commands_and_each_commands_options(capsys):
     for argv in (["--help"], ["-h"]):
         with pytest.raises(SystemExit) as exc:
@@ -329,6 +301,35 @@ def test_help_lists_the_commands_and_each_commands_options(capsys):
         assert (exc.value.code, captured.err) == (0, "")
         assert captured.out.startswith(f"usage: kummer-chern {command} [-h] ")
         assert all(f"\n  {name} " in captured.out for name, *_ in options)
+
+
+def _csv_rows(records: list[dict]) -> list[list[str]]:
+    """The rows a CSV of these JSON records holds: a genus value or a Chern number each."""
+    if "values" in records[0]:
+        return [["n", "value"], *([n, value] for n, value in records[0]["values"].items())]
+    index = "n" if "n" in records[0] else "k"
+    return [[index, "partition_key", "value"], *(
+        [str(r[index]), key, value] for r in records for key, value in r["chern_numbers"].items()
+    )]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--n-max", "8"],
+        ["hilbert", "--k", "5", "--surface", "p1xp1"],
+        ["genus", "--name", "signature", "--n-max", "8"],
+    ],
+    ids=" ".join,
+)
+def test_csv_rows_are_the_json_records_and_need_no_quoting(capsys, argv):
+    # the rows are joined with "," unquoted: a field that needed quoting
+    # would read back differently here
+    code, text, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    code, records, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(csv.reader(text.splitlines())) == _csv_rows(json.loads(records))
 
 
 def test_output_is_deterministic_across_runs(capsys):
@@ -393,7 +394,8 @@ def test_cold_hilbert_loads_no_rational_type():
     ids=" ".join,
 )
 def test_no_cold_command_loads_the_argparse_chain(argv):
-    assert _cold_loaded(argv, PARSER_MODULES).endswith("\n0 []\n")
+    # nor csv: CSV rows are joined without it
+    assert _cold_loaded(argv, PARSER_MODULES + ("csv",)).endswith("\n0 []\n")
 
 
 def test_verify_and_hilbert_run_on_integers_alone(capsys, monkeypatch):

@@ -37,7 +37,7 @@ ALLOWED = {
 COMMANDS = [
     ["compute", "--n-max", "3"],
     ["compute", "--n-max", "2", "--format", "json"],
-    ["compute", "--n-max", "2", "--format", "csv", "--out", "{out}"],
+    ["compute", "--n-max", "2", "--format", "csv"],
     ["verify", "--n-max", "1"],
     ["verify", "--n-max", "2", "--surface", "p1xp1", "--weights=3,-7"],
     ["verify", "--n-max", "2", "--weights", "1,5"],
@@ -111,12 +111,11 @@ def _functions(tree: ast.Module):
     return out
 
 
-def test_every_function_in_src_runs_in_the_cli_and_the_sweep(tmp_path):
-    commands = [[arg.format(out=tmp_path / "out.csv") for arg in argv] for argv in COMMANDS]
+def test_every_function_in_src_runs_in_the_cli_and_the_sweep():
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path[:0] = {paths!r}\n" + PROBE,
-         json.dumps([commands, EXITS, SWEEP])],
+         json.dumps([COMMANDS, EXITS, SWEEP])],
         capture_output=True,
         text=True,
     )
