@@ -16,9 +16,9 @@ Exit codes: 0 success, 1 verification mismatch or a failed internal check
 (one "check failed:" line on stderr; the Hilbert Todd and Euler checks are
 the library's), 2 invalid configuration (every invalid argument is a usage
 error, the usage and one "kummer-chern <command>: error:" line on stderr,
-before any computation), 3 genericity failure, from verify and hilbert only
-(at their --weights a tangent weight of a localized fixed point vanishes;
-see localization.is_generic).
+before any computation), 3 genericity failure, from verify only (at its
+--weights a tangent weight of a localized fixed point vanishes; see
+localization.is_generic).
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_hilbert(args) -> tuple[str, int]:
-    model = find_generic_model(args.surface, args.k, weights=args.weights)
+    model = find_generic_model(args.surface, args.k)
     # the library has checked the Todd genus and Goettsche's Euler number
     table = hilbert_chern_numbers(model, args.k)
     count = len(fixed_points(model, args.k))
@@ -212,15 +212,9 @@ REQUIRED = object()  # the default of an option that must be given
 
 # (option, converter, default, help); the converter's ValueError is the usage error
 _SURFACE = ("--surface", _choice(*SURFACE_NAMES), "p2", "toric surface to localize on")
-_WEIGHTS = (
-    "--weights",
-    _parse_weights,
-    None,
-    "torus parameters instead of the generic default; --weights=A,B lets A be negative",
-)
 _FORMAT = ("--format", _choice("table", "json", "csv"), "table", "output format")
 
-# command -> (handler, help, options); compute and genus run on p2 at default weights
+# command -> (handler, help, options); all but verify run at the default weights
 COMMANDS = {
     "compute": (cmd_compute, "Chern numbers of the Kummer varieties", (
         ("--n-max", _int_in(1), REQUIRED, "largest member n, at least 1"),
@@ -229,11 +223,13 @@ COMMANDS = {
     "verify": (cmd_verify, "cross-check the Kummer numbers against the reference table", (
         ("--n-max", _int_in(1, REFERENCE_N_MAX), REFERENCE_N_MAX,
          f"largest member n, from 1 to {REFERENCE_N_MAX}"),
-        _SURFACE, _WEIGHTS,
+        _SURFACE,
+        ("--weights", _parse_weights, None,
+         "torus parameters instead of the generic default; --weights=A,B lets A be negative"),
     )),
     "hilbert": (cmd_hilbert, "Chern numbers of a Hilbert scheme of points", (
         ("--k", _int_in(0), REQUIRED, "number of points, at least 0"),
-        _SURFACE, _WEIGHTS, _FORMAT,
+        _SURFACE, _FORMAT,
     )),
     "genus": (cmd_genus, "evaluate a genus preset on the Kummer tables", (
         ("--name", _choice(*GENUS_PRESETS), REQUIRED, "genus preset"),

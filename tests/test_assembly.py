@@ -49,6 +49,15 @@ def test_hilbert_genus_series_order_zero(p2):
         hilbert_genus_series(p2, -1)
 
 
+def test_public_entry_points_refuse_sizes_out_of_range(p2):
+    with pytest.raises(ValueError, match="^need n_max >= 1$"):
+        kummer_genus_series(p2, 0)
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        kummer_chern_numbers(p2, 0)
+    with pytest.raises(ValueError, match="^need k >= 0$"):
+        hilbert_chern_numbers(p2, -1)
+
+
 def test_kummer_series_small_coefficients(p2):
     series = kummer_genus_series(p2, 3)
     assert series[1].is_one()
@@ -287,18 +296,23 @@ def test_hilbert_chern_numbers(p2):
     zero = hilbert_chern_numbers(p2, 0)
     assert dict(zero.numbers) == {(): 1}
     # the point has no tangent weight, so zero chart weights localize it too
-    assert hilbert_chern_numbers(build_surface_model("p2", 0, 0), 0) == zero
+    for name in ("p2", "p1xp1"):
+        at_default = hilbert_chern_numbers(find_generic_model(name, 0), 0)
+        assert hilbert_chern_numbers(build_surface_model(name, 0, 0), 0) == at_default
 
 
 def test_hilbert_top_chern_number_counts_the_fixed_points():
     # each fixed point adds 1 to the top Chern number in the residue sum,
     # and hilbert_chern_numbers checks that number against Goettsche's series
     for name in ("p2", "p1xp1"):
+        tables = []
         for weights in (None, (3, 7)):
             model = find_generic_model(name, 6, weights=weights)
-            for k in range(7):
-                top = hilbert_chern_numbers(model, k).top()
-                assert len(fixed_points(model, k)) == top, (name, weights, k)
+            tables.append([hilbert_chern_numbers(model, k) for k in range(7)])
+            for k, table in enumerate(tables[-1]):
+                assert len(fixed_points(model, k)) == table.top(), (name, weights, k)
+        # Bott's residue formula gives the same tables at any generic weights
+        assert tables[0] == tables[1], name
 
 
 def test_fans_beyond_the_presets_at_their_default_weights(extra_fans):

@@ -121,11 +121,6 @@ def test_hilbert_k0(capsys):
     code, out, _ = run(capsys, "hilbert", "--k", "0")
     assert code == 0
     assert "1 | 1" in out
-    # the Hilbert scheme of 0 points has no tangent weight that could vanish,
-    # so zero chart weights print the same table
-    for surface in ("p2", "p1xp1"):
-        argv = ("hilbert", "--k", "0", "--surface", surface)
-        assert run(capsys, *argv, "--weights", "0,0") == run(capsys, *argv)
 
 
 def test_genus_todd(capsys):
@@ -155,7 +150,7 @@ def test_genus_unknown_preset_is_usage_error(capsys):
 DEGENERATE = {
     ("verify", "--n-max", "3", "--weights", "1,2"): "(1, 2) are degenerate for p2 at depth 3",
     ("verify", "--n-max", "2", "--weights", "1,1"): "(1, 1) are degenerate for p2 at depth 2",
-    ("hilbert", "--k", "1", "--surface", "p1xp1", "--weights", "1,0"): (
+    ("verify", "--n-max", "1", "--surface", "p1xp1", "--weights", "1,0"): (
         "(1, 0) are degenerate for p1xp1 at depth 1"
     ),
 }
@@ -234,6 +229,13 @@ USAGE_ERRORS = {
     ("genus", "--name", "todd", "--n-max", "2", "--surface=p2"): (
         "kummer-chern genus: error: unrecognized arguments: --surface=p2\n"
     ),
+    # hilbert runs at the default weights too: only verify takes --weights
+    ("hilbert", "--k", "2", "--weights", "1,7"): (
+        "kummer-chern hilbert: error: unrecognized arguments: --weights 1,7\n"
+    ),
+    ("hilbert", "--k", "2", "--weights=1,7"): (
+        "kummer-chern hilbert: error: unrecognized arguments: --weights=1,7\n"
+    ),
     # output goes to stdout alone: a file is the shell's "> FILE"
     ("compute", "--n-max", "2", "--out", "x.json"): (
         "kummer-chern compute: error: unrecognized arguments: --out x.json\n"
@@ -263,8 +265,8 @@ USAGE_ERRORS = {
     ("verify", "--n-max", "2", "--weights", "1,x"): (
         "kummer-chern verify: error: argument --weights: weights must be two integers: A,B\n"
     ),
-    ("hilbert", "--k", "2", "--weights=1,"): (
-        "kummer-chern hilbert: error: argument --weights: weights must be two integers: A,B\n"
+    ("verify", "--n-max", "2", "--weights=1,"): (
+        "kummer-chern verify: error: argument --weights: weights must be two integers: A,B\n"
     ),
 }
 
@@ -542,7 +544,7 @@ def test_failed_check_exits_1_with_one_line(capsys, monkeypatch):
         return tuple(coeffs)
 
     monkeypatch.setattr(assembly, "zseries_log", corrupting_log)
-    # weights no other test assembles, so no stored series answers first
+    monkeypatch.setattr(assembly, "_assembled", {})  # no stored series answers first
     code, out, err = run(capsys, "verify", "--n-max", "3", "--weights", "1,47")
     assert code == 1 and out == ""
     assert err.startswith("check failed: z^2 coefficient of ln H(0) has off-weight")

@@ -58,6 +58,8 @@ def test_scalar_arithmetic_and_division():
     assert (p - SPoly({(): 2})) == s(1)
     assert spoly_div(s(2).scale(6), 3) == s(2).scale(2)
     assert s(1).scale(Q(1, 2)).scale(2) == s(1)
+    with pytest.raises(ZeroDivisionError, match="^SPoly scaled by a zero denominator$"):
+        s(1).scale(1, 0)
 
 
 def test_coefficient_reads_the_subscripts_in_any_order():
