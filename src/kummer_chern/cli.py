@@ -1,10 +1,12 @@
 """Command-line interface.
 
-compute, hilbert and genus format their numbers once and render them as a
-table, JSON records or CSV rows.  A compute JSON record carries the n > 8
-"advisories" that its table prints, when there are any.  Each handler
-returns (text, exit code); only ``main`` writes the text, to stdout, and
-maps errors to codes.
+compute, hilbert and genus build their results as JSON records alone and
+print them as JSON or as a table read off the records: per record one line
+of its scalar fields as "name=value" joined by two spaces, then "  key |
+value" per entry of a dict field and "  name: item" per item of a list
+field.  A compute record lists the n > 8 "advisories", when there are
+any.  Each handler returns (text, exit code); only ``main`` writes the
+text, to stdout, and maps errors to codes.
 
 The command line is read from one table, COMMANDS: each subcommand's
 options with their converters and defaults.  Options read "--opt value" or
@@ -91,18 +93,28 @@ def _choice(*names: str):
     return parse
 
 
-def _render(args, records, header, rows, lines) -> str:
-    """The text of ``args.format``: JSON records, CSV rows or table lines.
+def _render(args, records: list[dict]) -> str:
+    """The text of ``args.format``: the JSON records, or the table of them.
 
-    No CSV field needs quoting: each is an int, a monomial such as
-    "c2^2 c4" or a number such as "-16".
+    The table prints each record as one line of its scalar fields,
+    "name=value" joined by two spaces, then one "  key | value" line for
+    each entry of a dict field and one "  name: item" line for each item
+    of a list field.
     """
     if args.format == "json":
         import json  # about 2 ms of every cold start that prints no JSON
 
         return json.dumps(records, indent=2) + "\n"
-    if args.format == "csv":
-        return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    lines = []
+    for record in records:
+        scalars = [f"{name}={value}" for name, value in record.items()
+                   if not isinstance(value, (dict, list))]
+        lines.append("  ".join(scalars))
+        for name, value in record.items():
+            if isinstance(value, dict):
+                lines.extend(f"  {key} | {item}" for key, item in value.items())
+            elif isinstance(value, list):
+                lines.extend(f"  {name}: {item}" for item in value)
     return "\n".join(lines) + "\n"
 
 
@@ -122,23 +134,18 @@ def _kummer_results(n_max: int, surface: str, weights) -> list[KummerResult]:
 
 
 def cmd_compute(args) -> tuple[str, int]:
-    records, rows, lines = [], [], []
+    records = []
     for r in _kummer_results(args.n_max, "p2", None):
-        numbers = _chern_strings(r.chern)
         record = {
             "n": r.n,
             "dimension": r.dimension,
             "surface": "p2",
-            "chern_numbers": numbers,
+            "chern_numbers": _chern_strings(r.chern),
         }
         if r.advisories:
             record["advisories"] = list(r.advisories)
         records.append(record)
-        rows.extend((r.n, key, value) for key, value in numbers.items())
-        lines.append(f"n={r.n}  dimension={r.dimension}  surface=p2")
-        lines.extend(f"  {key} | {value}" for key, value in numbers.items())
-        lines.extend(f"  advisory: {note}" for note in r.advisories)
-    return _render(args, records, ("n", "partition_key", "value"), rows, lines), EXIT_OK
+    return _render(args, records), EXIT_OK
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -168,37 +175,23 @@ def cmd_verify(args) -> tuple[str, int]:
 def cmd_hilbert(args) -> tuple[str, int]:
     model = find_generic_model(args.surface, args.k)
     # the library has checked the Todd genus and Goettsche's Euler number
-    table = hilbert_chern_numbers(model, args.k)
-    count = len(fixed_points(model, args.k))
-    numbers = _chern_strings(table)
+    numbers = _chern_strings(hilbert_chern_numbers(model, args.k))
     record = {
         "k": args.k,
         "dimension": 2 * args.k,
         "surface": args.surface,
-        "fixed_points": count,
+        "fixed_points": len(fixed_points(model, args.k)),
         "euler_check": "ok",
         "chern_numbers": numbers,
     }
-    rows = [(args.k, key, value) for key, value in numbers.items()]
-    lines = [
-        f"k={args.k}  dimension={2 * args.k}  surface={args.surface}",
-        f"  fixed points: {count} (series predicts {table.top()})",
-        f"  euler cross-check: ok (top Chern number {table.top()})",
-        *(f"  {key} | {value}" for key, value in numbers.items()),
-    ]
-    return _render(args, [record], ("k", "partition_key", "value"), rows, lines), EXIT_OK
+    return _render(args, [record]), EXIT_OK
 
 
 def cmd_genus(args) -> tuple[str, int]:
     results = _kummer_results(args.n_max, "p2", None)
     ell = genus_log_coefficients(args.name, 2 * (args.n_max - 1))
     values = {str(r.n): str(evaluate_genus(r.chern, ell)) for r in results}
-    record = {"genus": args.name, "surface": "p2", "values": values}
-    lines = [
-        f"{args.name} genus on the Kummer tables, surface p2",
-        *(f"  {n} | {value}" for n, value in values.items()),
-    ]
-    return _render(args, [record], ("n", "value"), values.items(), lines), EXIT_OK
+    return _render(args, [{"genus": args.name, "surface": "p2", "values": values}]), EXIT_OK
 
 
 # -- the command line -------------------------------------------------------
@@ -212,7 +205,7 @@ REQUIRED = object()  # the default of an option that must be given
 
 # (option, converter, default, help); the converter's ValueError is the usage error
 _SURFACE = ("--surface", _choice(*SURFACE_NAMES), "p2", "toric surface to localize on")
-_FORMAT = ("--format", _choice("table", "json", "csv"), "table", "output format")
+_FORMAT = ("--format", _choice("table", "json"), "table", "output format")
 
 # command -> (handler, help, options); all but verify run at the default weights
 COMMANDS = {

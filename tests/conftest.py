@@ -33,7 +33,7 @@ def p1xp1_model():
 
 @pytest.fixture(scope="session")
 def p2_series(p2_model):
-    """The Kummer genus series of the plane through z^8 (the heavy computation).
+    """The Kummer genus series of the plane through z^8.
 
     Assembled once per session: the assembly cache keeps one model only,
     so a later test that assembles another model would evict it.

@@ -1,6 +1,6 @@
-import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -114,7 +114,7 @@ def test_hilbert_k2_top_chern(capsys):
     code, out, _ = run(capsys, "hilbert", "--k", "2")
     assert code == 0
     assert "c4 | 9" in out
-    assert "fixed points: 9" in out
+    assert "fixed_points=9" in out
 
 
 def test_hilbert_k0(capsys):
@@ -195,17 +195,17 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_options_take_their_value_after_a_space_or_an_equals_sign(capsys):
-    spaced = run(capsys, "hilbert", "--k", "2", "--format", "csv", "--surface", "p1xp1")
-    assert spaced[0] == 0 and spaced[1].startswith("k,partition_key,value\n")
-    assert run(capsys, "hilbert", "--k=2", "--format=csv", "--surface=p1xp1") == spaced
+    spaced = run(capsys, "hilbert", "--k", "2", "--format", "json", "--surface", "p1xp1")
+    assert spaced[0] == 0 and json.loads(spaced[1])[0]["surface"] == "p1xp1"
+    assert run(capsys, "hilbert", "--k=2", "--format=json", "--surface=p1xp1") == spaced
     verified = run(capsys, "verify", "--n-max=4", "--weights=-9,6")
     assert verified == (0, "6 of 6 entries match\n", "")
 
 
 def test_a_repeated_option_keeps_its_last_value(capsys):
     assert run(capsys, "verify", "--n-max", "3", "--n-max=2") == (0, "1 of 1 entries match\n", "")
-    code, out, _ = run(capsys, "compute", "--n-max", "2", "--format", "json", "--format", "csv")
-    assert (code, out) == (0, "n,partition_key,value\n2,c2,24\n")
+    code, out, _ = run(capsys, "compute", "--n-max", "2", "--format", "table", "--format", "json")
+    assert code == 0 and json.loads(out)[0]["chern_numbers"] == {"c2": "24"}
 
 
 USAGE_ERRORS = {
@@ -256,6 +256,18 @@ USAGE_ERRORS = {
         "kummer-chern genus: error: unrecognized arguments: --out=x.txt\n"
     ),
     ("hilbert", "--k"): "kummer-chern hilbert: error: argument --k: expected one argument\n",
+    # the formats are the JSON records and the table printed from them
+    **{
+        argv: (
+            f"kummer-chern {argv[0]}: error: argument --format: invalid choice: 'csv' "
+            "(choose from 'table', 'json')\n"
+        )
+        for argv in (
+            ("compute", "--n-max", "2", "--format", "csv"),
+            ("hilbert", "--k", "2", "--format", "csv"),
+            ("genus", "--name", "todd", "--n-max", "2", "--format", "csv"),
+        )
+    },
     ("frob", "--n-max", "2"): (
         "kummer-chern: error: argument command: invalid choice: 'frob' "
         "(choose from 'compute', 'verify', 'hilbert', 'genus')\n"
@@ -305,14 +317,34 @@ def test_help_lists_the_commands_and_each_commands_options(capsys):
         assert all(f"\n  {name} " in captured.out for name, *_ in options)
 
 
-def _csv_rows(records: list[dict]) -> list[list[str]]:
-    """The rows a CSV of these JSON records holds: a genus value or a Chern number each."""
-    if "values" in records[0]:
-        return [["n", "value"], *([n, value] for n, value in records[0]["values"].items())]
-    index = "n" if "n" in records[0] else "k"
-    return [[index, "partition_key", "value"], *(
-        [str(r[index]), key, value] for r in records for key, value in r["chern_numbers"].items()
-    )]
+def _table_records(text: str) -> list[dict]:
+    """The records a table prints, read back by its rule.
+
+    A line of "name=value" fields starts a record; each "  key | value"
+    line is an entry of its dict field, stored under "{}" (the table does
+    not print that field's name); each "  name: item" line is an item of
+    its list field name.
+    """
+    records: list[dict] = []
+    for line in text.splitlines():
+        if not line.startswith("  "):
+            records.append(dict(field.split("=", 1) for field in line.split("  ")))
+        elif " | " in line:
+            key, value = line[2:].split(" | ")
+            records[-1].setdefault("{}", {})[key] = value
+        else:
+            name, item = line[2:].split(": ", 1)
+            records[-1].setdefault(name, []).append(item)
+    return records
+
+
+def _as_printed(record: dict) -> dict:
+    """A JSON record as its table reads back: scalars as text, the dict field under "{}"."""
+    return {
+        "{}" if isinstance(value, dict) else name:
+        value if isinstance(value, (dict, list)) else str(value)
+        for name, value in record.items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -324,14 +356,30 @@ def _csv_rows(records: list[dict]) -> list[list[str]]:
     ],
     ids=" ".join,
 )
-def test_csv_rows_are_the_json_records_and_need_no_quoting(capsys, argv):
-    # the rows are joined with "," unquoted: a field that needed quoting
-    # would read back differently here
-    code, text, _ = run(capsys, *argv, "--format", "csv")
+def test_the_table_is_the_records(capsys, argv):
+    code, text, _ = run(capsys, *argv)
     assert code == 0
     code, records, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
-    assert list(csv.reader(text.splitlines())) == _csv_rows(json.loads(records))
+    assert _table_records(text) == [_as_printed(r) for r in json.loads(records)]
+
+
+def test_readme_command_lines_run(capsys):
+    # every kummer-chern line of README's command-line block, its "> FILE" dropped
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    argvs = [argv[1: argv.index(">") if ">" in argv else None]
+             for argv in lines if argv[:1] == ["kummer-chern"]]
+    assert len(argvs) >= 6
+    for argv in argvs:
+        if "--help" in argv:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0, argv
+        else:
+            assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_output_is_deterministic_across_runs(capsys):
@@ -345,7 +393,7 @@ def test_output_is_deterministic_across_runs(capsys):
 # modules a cold verify or hilbert must not load: the dataclasses chain
 # costs about 13 ms; reading the reference table through
 # importlib.resources (pathlib, zipfile, tempfile) made verify --n-max 2
-# about 26 ms slower under -S; csv, needed only by --format csv, costs about
+# about 26 ms slower under -S; csv, which no command needs, costs about
 # 1 ms; and fractions with decimal and numbers about 2.7 ms of CPU, while
 # both commands run on integers and return no rational.
 COLD_UNLOADED = (
@@ -392,11 +440,11 @@ def test_cold_hilbert_loads_no_rational_type():
 
 @pytest.mark.parametrize(
     "argv",
-    [["compute", "--n-max", "2", "--format", "csv"], ["genus", "--name", "todd", "--n-max", "2"]],
+    [["compute", "--n-max", "2"], ["genus", "--name", "todd", "--n-max", "2"]],
     ids=" ".join,
 )
 def test_no_cold_command_loads_the_argparse_chain(argv):
-    # nor csv: CSV rows are joined without it
+    # nor csv: the table is joined from the records without it
     assert _cold_loaded(argv, PARSER_MODULES + ("csv",)).endswith("\n0 []\n")
 
 
@@ -455,16 +503,8 @@ n=3  dimension=4  surface=p2
   }
 ]
 """,
-    ("compute", "--n-max", "3", "--format", "csv"): """\
-n,partition_key,value
-2,c2,24
-3,c2^2,756
-3,c4,108
-""",
     ("hilbert", "--k", "1", "--format", "table"): """\
-k=1  dimension=2  surface=p2
-  fixed points: 3 (series predicts 3)
-  euler cross-check: ok (top Chern number 3)
+k=1  dimension=2  surface=p2  fixed_points=3  euler_check=ok
   c1^2 | 9
   c2 | 3
 """,
@@ -483,13 +523,8 @@ k=1  dimension=2  surface=p2
   }
 ]
 """,
-    ("hilbert", "--k", "1", "--format", "csv"): """\
-k,partition_key,value
-1,c1^2,9
-1,c2,3
-""",
     ("genus", "--name", "signature", "--n-max", "3", "--format", "table"): """\
-signature genus on the Kummer tables, surface p2
+genus=signature  surface=p2
   2 | -16
   3 | 84
 """,
@@ -504,11 +539,6 @@ signature genus on the Kummer tables, surface p2
     }
   }
 ]
-""",
-    ("genus", "--name", "signature", "--n-max", "3", "--format", "csv"): """\
-n,value
-2,-16
-3,84
 """,
 }
 
@@ -530,7 +560,7 @@ def test_compute_json_keeps_the_advisories(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)[0]["advisories"] == [note]
     code, out, _ = run(capsys, "compute", "--n-max", "2")
-    assert code == 0 and f"  advisory: {note}" in out.splitlines()
+    assert code == 0 and f"  advisories: {note}" in out.splitlines()
 
 
 def test_failed_check_exits_1_with_one_line(capsys, monkeypatch):

@@ -37,16 +37,13 @@ ALLOWED = {
 COMMANDS = [
     ["compute", "--n-max", "3"],
     ["compute", "--n-max", "2", "--format", "json"],
-    ["compute", "--n-max", "2", "--format", "csv"],
     ["verify", "--n-max", "1"],
     ["verify", "--n-max", "2", "--surface", "p1xp1", "--weights=3,-7"],
     ["verify", "--n-max", "2", "--weights", "1,5"],
     ["hilbert", "--k", "2", "--format", "json"],
-    ["hilbert", "--k", "1", "--format", "csv"],
     ["hilbert", "--k", "1", "--surface", "p1xp1"],
     ["genus", "--name", "todd", "--n-max", "2"],
     ["genus", "--name", "euler", "--n-max", "2", "--format", "json"],
-    ["genus", "--name", "signature", "--n-max", "2", "--format", "csv"],
 ]
 
 # a usage error and the help, which exit through SystemExit with these codes
